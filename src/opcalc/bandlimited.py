@@ -284,14 +284,6 @@ class TrigSlice:
     def derivative(self) -> "TrigSlice":
         return TrigSlice(self.h, {m: 1j * self.h * m * c for m, c in self.coeffs.items()})
 
-    def coeff_at(self, freq: float, tol: float = 1e-12) -> complex:
-        """Amplitude at a given real frequency (0 if not on the support)."""
-        total = 0.0 + 0.0j
-        for m, c in self.coeffs.items():
-            if abs(self.h * m - freq) <= tol * max(1.0, abs(freq)):
-                total += c
-        return total
-
     def sup_bracket(self, refinement: int = 4096) -> tuple[float, float]:
         """Certified (lower, upper) bracket of the sup norm over one period."""
         if not self.coeffs:
@@ -372,6 +364,18 @@ def lp_pieces(f: TrigPolynomial, win: CutoffWindow = DEFAULT_WINDOW) -> dict[int
     return pieces
 
 
+def band_uppers(
+    f: TrigPolynomial,
+    win: CutoffWindow = DEFAULT_WINDOW,
+    refinement: int | None = None,
+) -> dict[int, float]:
+    """Certified upper ||f_n||_upper of every nonzero dyadic piece, keyed by n.
+
+    Keys ascend, so sums over the values keep the band order of ``lp_pieces``.
+    """
+    return {n: sup_norm(piece, refinement)[1] for n, piece in lp_pieces(f, win).items()}
+
+
 def _bracket_at(f: TrigPolynomial, m: int) -> tuple[float, float, float]:
     sigma = f.support_radius
     delta = f.period / m
@@ -419,8 +423,8 @@ def besov_b1inf1_norm(
 ) -> float:
     """Surrogate B^1_{inf,1} norm: sum_n 2^n * upper bracket of the n-th piece."""
     total = 0.0
-    for n, piece in lp_pieces(f, win).items():
-        total += 2.0**n * sup_norm(piece, refinement)[1]
+    for n, upper in band_uppers(f, win, refinement).items():
+        total += 2.0**n * upper
     return total
 
 

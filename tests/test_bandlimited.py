@@ -8,6 +8,7 @@ from opcalc.bandlimited import (
     DEFAULT_WINDOW,
     ModulusOfContinuity,
     TrigPolynomial,
+    band_uppers,
     besov_b1inf1_norm,
     evaluate,
     jackson_check,
@@ -218,6 +219,13 @@ class TestBesov:
         a = besov_b1inf1_norm(7.5 * f, refinement=512)
         b = 7.5 * besov_b1inf1_norm(f, refinement=512)
         assert abs(a - b) <= 1e-12 * b
+
+    def test_band_uppers_are_the_piece_uppers_in_band_order(self):
+        f = random_trig_polynomial(3.0, 10, seed=11)
+        pieces = lp_pieces(f)
+        uppers = band_uppers(f, refinement=512)
+        assert list(uppers) == sorted(pieces)
+        assert uppers == {n: sup_norm(p, 512)[1] for n, p in pieces.items()}
 
 
 class TestSeminorm:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from opcalc.bandlimited import TrigPolynomial, random_trig_polynomial
+from opcalc import bandlimited
+from opcalc.bandlimited import TrigPolynomial, lp_pieces, random_trig_polynomial
 from opcalc.perturbation import (
     ConvexBody,
     ExperimentReport,
@@ -19,7 +20,7 @@ from opcalc.perturbation import (
     extend_by_projection,
     project_convex,
 )
-from opcalc.spectral import functional_calculus
+from opcalc.spectral import functional_calculus, random_normal
 
 SQUARE = ConvexBody.polygon([0.0, 1.0, 1.0 + 1.0j, 1.0j])
 DISC = ConvexBody.disc(0.0, 1.0)
@@ -85,6 +86,25 @@ class TestConvexBody:
                 quot_in = max(quot_in, abs(f(a) - f(b)) / abs(a - b))
         assert quot_ext <= quot_in * (1 + 1e-9) + 1e-9
 
+    @pytest.mark.parametrize("body", [SQUARE, DISC], ids=["square", "disc"])
+    def test_array_input_matches_pointwise(self, body):
+        rng = np.random.default_rng(2)
+        zs = rng.uniform(-3, 3, 300) + 1j * rng.uniform(-3, 3, 300)
+        pointwise = np.array([project_convex(z, body) for z in zs])
+        assert np.array_equal(project_convex(zs, body), pointwise)
+        assert project_convex(zs.reshape(20, 15), body).shape == (20, 15)
+
+    @pytest.mark.parametrize("body", [SQUARE, DISC], ids=["square", "disc"])
+    def test_extension_through_functional_calculus(self, body):
+        # spectrum in [-2, 2]^2, so part of it lies outside either body
+        f = random_trig_polynomial(2.0, 8, seed=4)
+        ext = extend_by_projection(f, body)
+        dec = random_normal(12, (-2, 2, -2, 2), seed=5)
+        fvals = np.array([complex(ext(z)) for z in dec.eigenvalues])
+        want = (dec.unitary * fvals) @ dec.unitary.conj().T
+        got = functional_calculus(ext, dec)
+        assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(fvals).max())
+
     def test_extension_of_identity_on_disc(self):
         ext = extend_by_projection(lambda z: z, DISC)
         assert ext(3.0 + 0j) == 1.0
@@ -129,6 +149,20 @@ class TestCertifiedConstants:
         assert np.linalg.norm(diff, 2) <= lip * 0.1 * (1 + 1e-9)
 
 
+class TestCoupledPair:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("delta", [0.5, 0.125, 2.0**-5, 1e-6])
+    def test_difference_is_delta_up_to_rounding(self, seed, delta):
+        rng = np.random.default_rng((seed, 7))
+        d1, d2 = coupled_normal_pair(3 + seed, delta, rng)
+        shift = np.abs(d2.eigenvalues - d1.eigenvalues).max()
+        eps = np.finfo(float).eps
+        assert abs(shift - delta) <= 4.0 * eps * (1.0 + np.abs(d1.eigenvalues).max())
+        n1 = np.linalg.norm(d1.matrix, 2)
+        got = np.linalg.norm(d1.matrix - d2.matrix, 2)
+        assert abs(got - delta) <= 64.0 * eps * (1.0 + n1)
+
+
 class TestExperimentReport:
     def test_row_length_checked(self):
         rep = ExperimentReport("x", 0, ["a", "b"])
@@ -170,6 +204,28 @@ class TestExperiments:
             assert abs(ostar - dalpha / (1 - 0.5)) <= 1e-12
             # the capped-modulus envelope is finite and dominates omega(delta)
             assert math.isfinite(logenv) and logenv >= min(delta, diam) - 1e-12
+
+    @pytest.mark.parametrize("n_deltas", [1, 4])
+    def test_holder_sweep_certifies_each_piece_once(self, monkeypatch, n_deltas):
+        f = random_trig_polynomial(2.0, 10, seed=10, decay=1.0)
+        calls = []
+        original = bandlimited.sup_norm
+
+        def counted(g, refinement=None):
+            calls.append(refinement)
+            return original(g, refinement)
+
+        monkeypatch.setattr(bandlimited, "sup_norm", counted)
+        grid = [2.0**-k for k in range(n_deltas)]
+        experiment_holder_sweep(f, 0.5, [2], grid, 1, seed=3)
+        assert calls == [512] * len(lp_pieces(f))
+
+    def test_holder_sweep_certified_column_is_the_modulus_bound(self):
+        f = random_trig_polynomial(2.0, 10, seed=12, decay=1.0)
+        grid = [2.0**-k for k in range(0, 11, 2)]
+        rep = experiment_holder_sweep(f, 0.5, [2], grid, 1, seed=3)
+        got = [row[rep.columns.index("certified_bound")] for row in rep.rows]
+        assert got == [certified_modulus_bound(f, d, refinement=512) for d in grid]
 
     def test_constant_function_rows_vanish(self):
         rep = experiment_holder_sweep(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from opcalc.bandlimited import random_trig_polynomial
 from opcalc.errors import NotNormalError
 from opcalc.spectral import (
     SpectralDecomposition,
@@ -109,6 +110,27 @@ class TestFunctionalCalculus:
         want = max(abs(f(z)) for z in dec.eigenvalues)
         assert abs(got - want) <= 1e-9
 
+    @pytest.mark.parametrize("dim", [1, 8, 64])
+    def test_trig_polynomial_matches_pointwise_oracle(self, dim):
+        f = random_trig_polynomial(4.0, 12, seed=dim, decay=1.0)
+        dec = random_normal(dim, (-2, 2, -2, 2), seed=dim)
+        fvals = np.array([complex(f(z)) for z in dec.eigenvalues])
+        want = (dec.unitary * fvals) @ dec.unitary.conj().T
+        got = functional_calculus(f, dec)
+        assert np.abs(got - want).max() <= 1e-13 * (1.0 + np.abs(fvals).max())
+
+    @pytest.mark.parametrize("dim", [1, 8, 64])
+    def test_f_called_once_on_the_spectrum(self, dim):
+        f = random_trig_polynomial(2.0, 8, seed=1)
+        shapes = []
+
+        def counted(z):
+            shapes.append(np.shape(z))
+            return f(z)
+
+        functional_calculus(counted, random_normal(dim, seed=dim))
+        assert shapes == [(dim,)]
+
 
 class TestRandomNormal:
     def test_deterministic(self):
@@ -119,6 +141,13 @@ class TestRandomNormal:
     def test_constructed_normal(self):
         dec = random_normal(9, seed=1)
         assert dec.normality_defect <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 4, 16])
+    def test_reconstruction_residual_zero_by_construction(self, dim):
+        dec = random_normal(dim, seed=dim)
+        u, lam = dec.unitary, dec.eigenvalues
+        assert dec.reconstruction_residual == 0.0
+        assert np.linalg.norm((u * lam) @ u.conj().T - dec.matrix) == 0.0
 
     def test_spectrum_in_box(self):
         dec = random_normal(20, (-1.0, 2.0, 0.5, 3.0), seed=5)
