@@ -14,7 +14,6 @@ from .bandlimited import (
     TrigPolynomial,
     TrigSlice,
     besov_b1inf1_norm,
-    evaluate,
     jackson_check,
     lp_piece,
     lp_pieces,

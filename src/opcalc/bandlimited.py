@@ -18,8 +18,6 @@ from scipy.integrate import quad
 
 from .errors import DivergentTailError, GridTooCoarseError
 
-_SQRT2_HALF = math.sqrt(2.0) / 2.0
-
 DEFAULT_REFINEMENT = 256
 MAX_REFINEMENT = 4096
 BRACKET_REL_WIDTH = 1e-6
@@ -156,6 +154,7 @@ class TrigPolynomial:
     """
 
     __slots__ = ("h", "coeffs", "support_radius")
+    ndim = 2
 
     def __init__(self, h: float, coeffs: dict):
         if h <= 0.0:
@@ -198,10 +197,7 @@ class TrigPolynomial:
 
     def grid_values(self, m: int) -> np.ndarray:
         """Values on the m x m uniform grid over one period (exact via FFT)."""
-        c = np.zeros((m, m), dtype=complex)
-        for (j, k), amp in self.coeffs.items():
-            c[j % m, k % m] += amp
-        return np.fft.ifft2(c) * (m * m)
+        return _fft_grid(self.coeffs, m, 2)
 
     def _binary(self, other: "TrigPolynomial", sign: float) -> "TrigPolynomial":
         if not isinstance(other, TrigPolynomial):
@@ -261,6 +257,7 @@ class TrigSlice:
     """
 
     __slots__ = ("h", "coeffs")
+    ndim = 1
 
     def __init__(self, h: float, coeffs: dict):
         if h <= 0.0:
@@ -284,24 +281,41 @@ class TrigSlice:
     def derivative(self) -> "TrigSlice":
         return TrigSlice(self.h, {m: 1j * self.h * m * c for m, c in self.coeffs.items()})
 
+    def grid_values(self, m: int) -> np.ndarray:
+        """Values on the m-point uniform grid over one period (exact via FFT)."""
+        return _fft_grid(self.coeffs, m, 1)
+
     def sup_bracket(self, refinement: int = 4096) -> tuple[float, float]:
         """Certified (lower, upper) bracket of the sup norm over one period."""
         if not self.coeffs:
             return 0.0, 0.0
-        m = int(refinement)
-        sigma = self.type_bound
-        delta = 2.0 * math.pi / self.h / m
-        eps = sigma * delta / 2.0
-        if eps >= 1.0:
-            raise GridTooCoarseError(
-                f"1-d grid spacing {delta:.3e} too coarse for type {sigma:.3e}"
-            )
-        c = np.zeros(m, dtype=complex)
-        for mm, amp in self.coeffs.items():
-            c[mm % m] += amp
-        vals = np.abs(np.fft.ifft(c) * m)
-        lower = float(vals.max())
-        return lower, lower / (1.0 - eps)
+        return grid_bracket(self, self.type_bound, int(refinement))
+
+
+def _fft_grid(coeffs: dict, m: int, d: int) -> np.ndarray:
+    """Values of sum_k c_k exp(i h k.t), k in Z^d (int keys if d = 1), on the m^d grid."""
+    c = np.zeros((m,) * d, dtype=complex)
+    for key, amp in coeffs.items():
+        c[tuple(np.atleast_1d(key) % m)] += amp
+    return np.fft.ifftn(c) * m**d
+
+
+def grid_bracket(g: "TrigPolynomial | TrigSlice", sigma: float, m: int) -> tuple[float, float]:
+    """Certified bracket lower <= ||g||_inf <= upper from the m^d grid of g.
+
+    g is a trig polynomial in d = ``g.ndim`` variables of exponential type
+    sigma.  The lower bound is the grid maximum of |g| over one period; every
+    point lies within delta * sqrt(d)/2 of the grid (delta = period / m), so
+    the Bernstein bound gives upper = lower / (1 - sigma * delta * sqrt(d)/2).
+    """
+    delta = 2.0 * math.pi / g.h / m
+    eps = sigma * delta * (math.sqrt(g.ndim) / 2.0)
+    if eps >= 1.0:
+        raise GridTooCoarseError(
+            f"grid spacing {delta:.3e} too coarse for exponential type {sigma:.3e}"
+        )
+    lower = float(np.abs(g.grid_values(m)).max())
+    return lower, lower / (1.0 - eps)
 
 
 def slice_x(f: TrigPolynomial, y0: float) -> TrigSlice:
@@ -320,11 +334,6 @@ def slice_y(f: TrigPolynomial, x0: float) -> TrigSlice:
     return TrigSlice(f.h, coeffs)
 
 
-def evaluate(f: TrigPolynomial, z) -> complex:
-    """Pointwise evaluation; z is a complex number or an (x, y) pair."""
-    return f(z)
-
-
 def partial_derivative(f: TrigPolynomial, axis: str) -> TrigPolynomial:
     """Exact partial derivative along "x" or "y" (coefficientwise)."""
     if axis == "x":
@@ -332,6 +341,21 @@ def partial_derivative(f: TrigPolynomial, axis: str) -> TrigPolynomial:
     if axis == "y":
         return TrigPolynomial(f.h, {(j, k): 1j * f.h * k * c for (j, k), c in f.coeffs.items()})
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+
+
+def divided_difference(g, dg, a, b, tol: float) -> np.ndarray:
+    """(g(a) - g(b)) / (a - b) for a function g of one coordinate.
+
+    Where |a - b| <= tol the entry is the exact derivative dg((a + b)/2)
+    instead; dg is called only when some entry is that close.  a and b are
+    broadcastable arrays, and g and dg accept them elementwise.
+    """
+    den = a - b
+    near = np.abs(den) <= tol
+    vals = (g(a) - g(b)) / np.where(near, 1.0, den)
+    if np.any(near):
+        vals = np.where(near, dg((a + b) / 2.0), vals)
+    return vals
 
 
 def lp_piece(f: TrigPolynomial, n: int, win: CutoffWindow = DEFAULT_WINDOW) -> TrigPolynomial:
@@ -376,18 +400,6 @@ def band_uppers(
     return {n: sup_norm(piece, refinement)[1] for n, piece in lp_pieces(f, win).items()}
 
 
-def _bracket_at(f: TrigPolynomial, m: int) -> tuple[float, float, float]:
-    sigma = f.support_radius
-    delta = f.period / m
-    eps = sigma * delta * _SQRT2_HALF
-    if eps >= 1.0:
-        raise GridTooCoarseError(
-            f"grid spacing {delta:.3e} too coarse for support radius {sigma:.3e}"
-        )
-    lower = float(np.abs(f.grid_values(m)).max())
-    return lower, lower / (1.0 - eps), eps
-
-
 def sup_norm(f: TrigPolynomial, refinement: int | None = None) -> tuple[float, float]:
     """Certified bracket lower <= ||f||_inf <= upper.
 
@@ -400,12 +412,11 @@ def sup_norm(f: TrigPolynomial, refinement: int | None = None) -> tuple[float, f
     if not f.coeffs:
         return 0.0, 0.0
     if refinement is not None:
-        lower, upper, _ = _bracket_at(f, int(refinement))
-        return lower, upper
+        return grid_bracket(f, f.support_radius, int(refinement))
     m = DEFAULT_REFINEMENT
     while True:
         try:
-            lower, upper, _ = _bracket_at(f, m)
+            lower, upper = grid_bracket(f, f.support_radius, m)
         except GridTooCoarseError:
             if m >= MAX_REFINEMENT:
                 raise

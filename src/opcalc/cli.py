@@ -1,10 +1,12 @@
-"""Batch front end: parse a run config, dispatch a suite, emit tables and plots.
+"""Batch front end: parse and validate a run config, run its suite, emit tables and plots.
 
 Usage: ``opcalc <experiment-id> [--config file.json] [flags...]``; flags
 mirror config keys and override the file.  Outputs ``<out>.csv``,
-``<out>.json`` and, for experiments with designated plot columns,
-``<out>.svg``.  The exit status is nonzero iff any certified-bound or
-identity assertion failed during the run.
+``<out>.json`` and, for experiments with designated plot columns and
+positive data to plot, ``<out>.svg``.  Exit status: 0 on success, 1 if any
+certified-bound or identity assertion failed during the run, 2 on a usage
+error (bad flag, config key or value), reported without a traceback.
+The suites themselves live in ``opcalc.perturbation``.
 """
 
 from __future__ import annotations
@@ -13,37 +15,47 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-import numpy as np
-from scipy.integrate import quad
+from .perturbation import SUITES, ExperimentReport
 
-from .bandlimited import TrigSlice, random_trig_polynomial
-from .ideals import IdealSpec, averaging_constant_check, boyd_index_estimate
-from .perturbation import (
-    ExperimentReport,
-    experiment_doi_identity,
-    experiment_fuglede_ratio,
-    experiment_holder_sweep,
-    experiment_lipschitz,
-    experiment_quasicommutator,
-    experiment_schatten_decay,
-)
-from .sinc import row_energy, sinc_basis
-
-EXPERIMENTS = (
-    "doi-verify",
-    "sinc-check",
-    "lip-bound",
-    "holder-sweep",
-    "schatten-decay",
-    "ideals-boyd",
-    "qc-verify",
-    "fuglede-ratio",
-)
+EXPERIMENTS = tuple(SUITES)
 
 MAX_DIM = 64
 MAX_TRIALS = 10**6
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _positive(v) -> bool:
+    return _is_real(v) and 0.0 < v < math.inf
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and bool(v) and all(check(x) for x in v)
+
+
+# (field, check, what a valid value is), applied in order by RunConfig.validate
+_CHECKS = (
+    ("seed", lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
+    ("dims", _list_of(lambda d: _is_int(d) and 1 <= d <= MAX_DIM),
+     f"a nonempty list of integers in [1, {MAX_DIM}]"),
+    ("trials", lambda v: _is_int(v) and 0 <= v <= MAX_TRIALS,
+     f"an integer in [0, {MAX_TRIALS}]"),
+    ("sigma", _positive, "a positive finite number"),
+    ("alpha", lambda v: _is_real(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
+    ("p", _list_of(lambda v: _is_real(v) and v > 0.0),
+     "a nonempty list of exponents > 0 (inf allowed)"),
+    ("delta_grid", _list_of(_positive), "a nonempty list of positive finite numbers"),
+    ("out", lambda v: v is None or isinstance(v, str), "a path prefix string"),
+    ("tol", _positive, "a positive finite number"),
+)
 
 
 @dataclass
@@ -60,131 +72,47 @@ class RunConfig:
     tol: float = 1e-9
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        """Raise ValueError unless every field has its type and range."""
+        if self.experiment not in SUITES:
             raise ValueError(f"unknown experiment id {self.experiment!r}")
-        if not self.dims or any(d < 1 or d > MAX_DIM for d in self.dims):
-            raise ValueError(f"dims must lie in [1, {MAX_DIM}]")
-        if not 0 <= self.trials <= MAX_TRIALS:
-            raise ValueError(f"trials must lie in [0, {MAX_TRIALS}]")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-
-
-def _experiment_sinc_check(trials: int, seed: int, n_terms: int = 1000) -> ExperimentReport:
-    """Basis-mass and row-energy checks for the sampling expansion."""
-    rep = ExperimentReport(
-        "sinc-check",
-        seed,
-        ["trial", "sigma", "point", "basis_mass", "energy_ratio"],
-        meta={"violations": 0},
-    )
-    ns = np.arange(-n_terms, n_terms + 1)
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        sigma = float(rng.uniform(0.5, 4.0))
-        y = float(rng.uniform(-6.0, 6.0))
-        mass = float(np.sum(sinc_basis(sigma, ns, y) ** 2))
-        coeffs = {
-            int(m): complex(rng.standard_normal(), rng.standard_normal())
-            for m in rng.choice(np.arange(-3, 4), size=4, replace=False)
-        }
-        fslice = TrigSlice(sigma / 3.0, coeffs)
-        x = float(rng.uniform(-3.0, 3.0))
-        energy = row_energy(fslice, sigma, x, 2 * n_terms)
-        cap = 3.0 * fslice.sup_bracket()[1] ** 2
-        ratio = energy / cap if cap > 0 else 0.0
-        if abs(mass - 1.0) > 1e-3 or ratio > 1.0 + 1e-6:
-            rep.meta["violations"] += 1
-        rep.add(trial, sigma, y, mass, ratio)
-    # closed-form row energy of a unimodular exponential
-    unit = TrigSlice(1.0, {1: 1.0})
-    ecase = row_energy(unit, 1.0, 0.37, 2000)
-    rep.meta["unimodular_energy"] = ecase
-    # piecewise envelope (1/pi) * integral of min(4, u^2)/u^2 du = 8/pi
-    core, _ = quad(lambda u: 1.0 if abs(u) <= 2.0 else 4.0 / (u * u), -2.0, 2.0, epsabs=1e-10)
-    wing, _ = quad(lambda u: 4.0 / (u * u), 2.0, 200.0, epsabs=1e-10)
-    envelope = (core + 2.0 * (wing + 4.0 / 200.0)) / math.pi
-    rep.meta["envelope_const"] = envelope
-    if abs(ecase - 2.0) > 1e-3 or abs(envelope - 8.0 / math.pi) > 1e-6:
-        rep.meta["violations"] += 1
-    return rep
-
-
-def _experiment_ideals_boyd(p_list: list[float], trials: int, seed: int) -> ExperimentReport:
-    """Boyd index and averaging constants for the Schatten scale."""
-    rep = ExperimentReport(
-        "ideals-boyd",
-        seed,
-        ["p", "boyd_estimate", "boyd_analytic", "avg_empirical", "avg_bound"],
-        meta={"violations": 0},
-    )
-    for p in p_list:
-        spec = IdealSpec.schatten(p)
-        est, analytic = boyd_index_estimate(spec, 64)
-        emp, bound = averaging_constant_check(spec, trials, seed)
-        if abs(est - analytic) > 1e-6:
-            rep.meta["violations"] += 1
-        if bound is not None and emp > bound * (1.0 + 1e-9):
-            rep.meta["violations"] += 1
-        rep.add(p, est, analytic, emp, math.nan if bound is None else bound)
-    return rep
+        for name, ok, what in _CHECKS:
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name} must be {what}")
 
 
 def run(config: RunConfig) -> ExperimentReport:
     """Dispatch a validated config to its suite; deterministic given config."""
     config.validate()
-    eid = config.experiment
-    if eid == "doi-verify":
-        return experiment_doi_identity(
-            config.sigma, config.dims, config.trials, config.seed, config.tol
-        )
-    if eid == "sinc-check":
-        return _experiment_sinc_check(config.trials, config.seed)
-    if eid == "lip-bound":
-        f = random_trig_polynomial(config.sigma, 12, config.seed)
-        return experiment_lipschitz(f, config.dims, config.trials, config.seed)
-    if eid == "holder-sweep":
-        f = random_trig_polynomial(config.sigma, 12, config.seed, decay=1.0)
-        return experiment_holder_sweep(
-            f, config.alpha, config.dims, config.delta_grid, config.trials, config.seed
-        )
-    if eid == "schatten-decay":
-        f = random_trig_polynomial(config.sigma, 12, config.seed, decay=1.0)
-        return experiment_schatten_decay(
-            f, config.alpha, config.p[0], config.dims, config.trials, config.seed
-        )
-    if eid == "ideals-boyd":
-        return _experiment_ideals_boyd(config.p, config.trials, config.seed)
-    if eid == "qc-verify":
-        f = random_trig_polynomial(config.sigma, 12, config.seed)
-        return experiment_quasicommutator(f, config.dims, config.trials, config.seed)
-    if eid == "fuglede-ratio":
-        return experiment_fuglede_ratio(config.dims, config.p, config.trials, config.seed)
-    raise ValueError(f"unknown experiment id {eid!r}")
+    return SUITES[config.experiment](config)
 
 
-def _sanitize(obj):
+def _strict(obj):
+    """Copy of obj fit for strict JSON: NaN -> null, +-inf -> "inf" / "-inf"."""
     if isinstance(obj, float):
-        return None if math.isnan(obj) or math.isinf(obj) else obj
+        if math.isnan(obj):
+            return None
+        return repr(obj) if math.isinf(obj) else obj
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+        return {k: _strict(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+        return [_strict(v) for v in obj]
     return obj
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def report_to_json(report: ExperimentReport) -> str:
     meta = {"experiment": report.experiment, "seed": report.seed,
-            "columns": list(report.columns)}
-    meta.update(_sanitize(report.meta))
-    rows = [[None if math.isnan(v) else v for v in row] for row in report.rows]
-    return json.dumps({"meta": meta, "rows": rows}, indent=1) + "\n"
+            "columns": list(report.columns), **report.meta}
+    doc = _strict({"meta": meta, "rows": report.rows})
+    return json.dumps(doc, indent=1, allow_nan=False) + "\n"
 
 
 def report_from_json(text: str) -> ExperimentReport:
-    data = json.loads(text)
+    """Inverse of ``report_to_json``: row nulls read back as NaN, "inf"/"-inf" as +-inf."""
+    data = json.loads(text, parse_constant=_reject_constant)
     meta = dict(data["meta"])
     experiment = meta.pop("experiment")
     seed = meta.pop("seed")
@@ -208,14 +136,22 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return [10.0**e for e in range(first, last + 1)]
 
 
+def _plot_points(report: ExperimentReport) -> list[tuple[float, float]]:
+    """The (x, y) rows of the designated plot columns that a log-log plot can show."""
+    plot = report.meta.get("plot")
+    if not plot:
+        return []
+    xi = report.columns.index(plot["x"])
+    yi = report.columns.index(plot["y"])
+    return [(r[xi], r[yi]) for r in report.rows if r[xi] > 0 and r[yi] > 0]
+
+
 def report_to_svg(report: ExperimentReport) -> str:
     """Log-log scatter of the designated plot columns with a slope guide line."""
     plot = report.meta.get("plot")
     if not plot:
         raise ValueError("report has no designated plot columns")
-    xi = report.columns.index(plot["x"])
-    yi = report.columns.index(plot["y"])
-    pts = [(r[xi], r[yi]) for r in report.rows if r[xi] > 0 and r[yi] > 0]
+    pts = _plot_points(report)
     if not pts:
         raise ValueError("no positive data to plot")
     slope = plot.get("slope")
@@ -278,10 +214,6 @@ def render(report: ExperimentReport, fmt: str, path: str) -> None:
         fh.write(text)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
 def build_config(argv: list[str]) -> RunConfig:
     parser = argparse.ArgumentParser(
         prog="opcalc",
@@ -302,26 +234,20 @@ def build_config(argv: list[str]) -> RunConfig:
     values: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            values.update(json.load(fh))
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(values) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     values["experiment"] = args.experiment
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.dims is not None:
-        values["dims"] = [int(t) for t in args.dims.split(",") if t.strip()]
-    if args.sigma is not None:
-        values["sigma"] = args.sigma
-    if args.trials is not None:
-        values["trials"] = args.trials
-    if args.alpha is not None:
-        values["alpha"] = args.alpha
-    if args.p is not None:
-        values["p"] = _parse_floats(args.p)
-    if args.delta_grid is not None:
-        values["delta_grid"] = _parse_floats(args.delta_grid)
-    if args.out is not None:
-        values["out"] = args.out
-    if args.tol is not None:
-        values["tol"] = args.tol
+    list_item = {"dims": int, "p": float, "delta_grid": float}  # comma-separated flags
+    for key in (f.name for f in fields(RunConfig) if f.name != "experiment"):
+        flag = getattr(args, key)
+        if flag is not None and key in list_item:
+            values[key] = [list_item[key](t) for t in flag.split(",") if t.strip()]
+        elif flag is not None:
+            values[key] = flag
     return RunConfig(**values)
 
 
@@ -329,14 +255,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(sys.argv[1:] if argv is None else argv)
         report = run(config)
+        prefix = config.out or config.experiment
+        render(report, "csv", prefix + ".csv")
+        render(report, "json", prefix + ".json")
+        if _plot_points(report):
+            render(report, "svg", prefix + ".svg")
+        elif report.meta.get("plot"):
+            print(f"opcalc: note: no positive data to plot; {prefix}.svg not written",
+                  file=sys.stderr)
     except (ValueError, OSError) as exc:
         print(f"opcalc: error: {exc}", file=sys.stderr)
         return 2
-    prefix = config.out or config.experiment
-    render(report, "csv", prefix + ".csv")
-    render(report, "json", prefix + ".json")
-    if report.meta.get("plot"):
-        render(report, "svg", prefix + ".svg")
     status = 0 if report.violations == 0 else 1
     print(
         f"{config.experiment}: {len(report.rows)} rows, "

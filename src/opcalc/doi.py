@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandlimited import TrigPolynomial, partial_derivative
+from .bandlimited import TrigPolynomial, divided_difference, partial_derivative
 from .errors import FactorizationError
 from .spectral import SpectralDecomposition, parts
 
@@ -77,26 +77,18 @@ def divided_difference_kernel(
     mu = np.asarray(mu, dtype=complex)
     x1, y1 = lam.real[:, None], lam.imag[:, None]
     x2, y2 = mu.real[None, :], mu.imag[None, :]
+    deriv = partial_derivative(f, axis)  # raises on an unknown axis
     if axis == "x":
-        if eps_dd is None:
-            eps_dd = default_coincidence_tol(lam.real, mu.real)
-        num = f.eval(x1, y2) - f.eval(x2, y2)
-        den = x1 - x2
-        deriv = partial_derivative(f, "x")
-        dvals = deriv.eval((x1 + x2) / 2.0, y2)
-    elif axis == "y":
-        if eps_dd is None:
-            eps_dd = default_coincidence_tol(lam.imag, mu.imag)
-        num = f.eval(x1, y1) - f.eval(x1, y2)
-        den = np.broadcast_to(y1 - y2, num.shape)
-        deriv = partial_derivative(f, "y")
-        dvals = deriv.eval(x1, (y1 + y2) / 2.0)
+        a, b, point = x1, x2, lambda x: (x, y2)
     else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+        a, b, point = y1, y2, lambda y: (x1, y)
+    if eps_dd is None:
+        eps_dd = default_coincidence_tol(a, b)
     if eps_dd <= 0.0:
         raise ValueError("eps_dd must be positive")
-    near = np.abs(den) <= eps_dd
-    values = np.where(near, dvals, num / np.where(near, 1.0, den))
+    values = divided_difference(
+        lambda t: f.eval(*point(t)), lambda t: deriv.eval(*point(t)), a, b, eps_dd
+    )
     return DoiKernel(rows=lam, cols=mu, values=values, provenance=f"d{axis}")
 
 

@@ -91,7 +91,7 @@ class IdealSpec:
     def psi(self, values: np.ndarray) -> float:
         s = np.asarray(values, dtype=float)
         if self.variant == "Sp":
-            return float(np.sum(s**self.p) ** (1.0 / self.p))
+            return schatten_sum(s, self.p)
         if self.variant == "SpWeak":
             j = np.arange(1, s.size + 1, dtype=float)
             return float(np.max(j * s**self.p) ** (1.0 / self.p))
@@ -152,18 +152,22 @@ def dilate_spectrum(s: SingularSpectrum, d: int) -> SingularSpectrum:
     return SingularSpectrum(np.repeat(s.values, d))
 
 
+def schatten_sum(s: np.ndarray, p: float) -> float:
+    """(sum_j s_j^p)^(1/p) of singular values s, for finite p > 0."""
+    return float(np.sum(s**p) ** (1.0 / p))
+
+
 def schatten_norm(t: np.ndarray, p: float) -> float:
     """||T||_{S_p}; p = inf gives the operator norm."""
     s = singular_values(t).values
     if math.isinf(p):
         return float(s[0]) if s.size else 0.0
-    return float(np.sum(s**p) ** (1.0 / p))
+    return schatten_sum(s, p)
 
 
 def kyfan_p_norm(t: np.ndarray, p: float, l: int) -> float:
     """Head sum norm (sum_{j<=l} s_j^p)^{1/p}."""
-    s = singular_values(t).values
-    return float(np.sum(s[: l + 1] ** p) ** (1.0 / p))
+    return schatten_sum(singular_values(t).values[: l + 1], p)
 
 
 def default_test_family(length: int = 512) -> list[SingularSpectrum]:

@@ -1,4 +1,4 @@
-"""Certified perturbation bounds and experiment suites.
+"""Certified perturbation bounds and the eight experiment suites.
 
 The certified constants here are assembled only from fully explicit chains:
 the dyadic decomposition, the sqrt(3) * sigma * ||f||_inf multiplier bound
@@ -13,19 +13,29 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import quad
 
 from .bandlimited import (
     DEFAULT_WINDOW,
     CutoffWindow,
     ModulusOfContinuity,
     TrigPolynomial,
+    TrigSlice,
     band_uppers,
     omega_star,
     random_trig_polynomial,
     seminorm_estimate,
 )
 from .doi import difference_via_doi, quasicommutator_via_doi
-from .ideals import schatten_norm, sigma_averages, singular_values
+from .ideals import (
+    IdealSpec,
+    averaging_constant_check,
+    boyd_index_estimate,
+    schatten_norm,
+    sigma_averages,
+    singular_values,
+)
+from .sinc import row_energy, sinc_basis
 from .spectral import SpectralDecomposition, functional_calculus, random_normal
 
 _SQRT3 = math.sqrt(3.0)
@@ -205,18 +215,25 @@ def coupled_normal_pair(
     d1 = random_normal(dim, box, rng=rng)
     lam2 = d1.eigenvalues + delta * _unit_sup_direction(dim, rng, rank)
     n2 = (d1.unitary * lam2) @ d1.unitary.conj().T
-    d2 = SpectralDecomposition(
-        matrix=n2,
-        unitary=d1.unitary,
-        eigenvalues=lam2,
-        normality_defect=0.0,
-        reconstruction_residual=0.0,
-    )
-    return d1, d2
+    return d1, SpectralDecomposition(matrix=n2, unitary=d1.unitary, eigenvalues=lam2)
 
 
 def independent_normal_pair(dim: int, rng: np.random.Generator, box=DEFAULT_BOX):
     return random_normal(dim, box, rng=rng), random_normal(dim, box, rng=rng)
+
+
+def trial_draws(seed: int, trials: int, dims: list[int] | None = None, key: tuple = ()):
+    """Yield (trial, dim, rng) for every trial of a suite.
+
+    Trial t draws from its own substream ``default_rng((seed, *key, t))``, so
+    its inputs do not depend on the other trials, and runs at
+    ``dims[t % len(dims)]`` (dim is None when no dims are given).  ``key``
+    separates the streams of a suite's outer loop, such as the holder
+    sweep's grid index.
+    """
+    for trial in range(trials):
+        dim = None if dims is None else dims[trial % len(dims)]
+        yield trial, dim, np.random.default_rng((seed, *key, trial))
 
 
 def experiment_lipschitz(
@@ -239,9 +256,7 @@ def experiment_lipschitz(
         ["trial", "dim", "delta_op", "quotient_op", "quotient_s1", "certified"],
         meta={"lipschitz_constant": lip, "violations": 0},
     )
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        dim = dims[trial % len(dims)]
+    for trial, dim, rng in trial_draws(seed, trials, dims):
         if trial % 2 == 0:
             d1, d2 = independent_normal_pair(dim, rng)
         else:
@@ -302,9 +317,7 @@ def experiment_holder_sweep(
     for grid_idx, delta in enumerate(delta_grid):
         certified = _modulus_bound_from_uppers(uppers, delta)
         measured = 0.0
-        for trial in range(trials):
-            rng = np.random.default_rng((seed, grid_idx, trial))
-            dim = dims[trial % len(dims)]
+        for _, dim, rng in trial_draws(seed, trials, dims, (grid_idx,)):
             d1, d2 = coupled_normal_pair(dim, delta, rng, box)
             diff = functional_calculus(f, d1) - functional_calculus(f, d2)
             measured = max(measured, float(np.linalg.norm(diff, 2)))
@@ -344,9 +357,7 @@ def experiment_schatten_decay(
     c_decay = 0.0
     c_major = 0.0
     c_head = 0.0
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        dim = dims[trial % len(dims)]
+    for trial, dim, rng in trial_draws(seed, trials, dims):
         kind = trial % 3
         if kind == 0:
             d1, d2 = coupled_normal_pair(dim, float(2.0 ** -(trial % 7)), rng, rank=1)
@@ -400,9 +411,7 @@ def experiment_quasicommutator(
         ["trial", "dim", "measured", "residual", "max_quasicomm", "certified"],
         meta={"lipschitz_constant": lip, "violations": 0},
     )
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        dim = dims[trial % len(dims)]
+    for trial, dim, rng in trial_draws(seed, trials, dims):
         d1, d2 = independent_normal_pair(dim, rng)
         r = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         lhs = functional_calculus(f, d1) @ r - r @ functional_calculus(f, d2)
@@ -441,9 +450,7 @@ def experiment_fuglede_ratio(
     )
     for p in p_list:
         worst = 0.0
-        for trial in range(trials):
-            rng = np.random.default_rng((seed, trial))
-            dim = dims[trial % len(dims)]
+        for trial, dim, rng in trial_draws(seed, trials, dims):
             d1, d2 = independent_normal_pair(dim, rng)
             r = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             x = d1.matrix @ r - r @ d2.matrix
@@ -475,9 +482,7 @@ def experiment_doi_identity(
         ["trial", "dim", "residual", "scale"],
         meta={"sigma": sigma, "tol": tol, "violations": 0},
     )
-    for trial in range(trials):
-        rng = np.random.default_rng((seed, trial))
-        dim = dims[trial % len(dims)]
+    for trial, dim, rng in trial_draws(seed, trials, dims):
         f = random_trig_polynomial(sigma, 12, seed=None, rng=rng)
         d1, d2 = independent_normal_pair(dim, rng)
         f1 = functional_calculus(f, d1)
@@ -489,3 +494,90 @@ def experiment_doi_identity(
             rep.meta["violations"] += 1
         rep.add(trial, dim, residual, scale)
     return rep
+
+
+def experiment_sinc_check(trials: int, seed: int, n_terms: int = 1000) -> ExperimentReport:
+    """Basis-mass and row-energy checks for the sampling expansion."""
+    rep = ExperimentReport(
+        "sinc-check",
+        seed,
+        ["trial", "sigma", "point", "basis_mass", "energy_ratio"],
+        meta={"violations": 0},
+    )
+    ns = np.arange(-n_terms, n_terms + 1)
+    for trial, _, rng in trial_draws(seed, trials):
+        sigma = float(rng.uniform(0.5, 4.0))
+        y = float(rng.uniform(-6.0, 6.0))
+        mass = float(np.sum(sinc_basis(sigma, ns, y) ** 2))
+        coeffs = {
+            int(m): complex(rng.standard_normal(), rng.standard_normal())
+            for m in rng.choice(np.arange(-3, 4), size=4, replace=False)
+        }
+        fslice = TrigSlice(sigma / 3.0, coeffs)
+        x = float(rng.uniform(-3.0, 3.0))
+        energy = row_energy(fslice, sigma, x, 2 * n_terms)
+        cap = 3.0 * fslice.sup_bracket()[1] ** 2
+        ratio = energy / cap if cap > 0 else 0.0
+        if abs(mass - 1.0) > 1e-3 or ratio > 1.0 + 1e-6:
+            rep.meta["violations"] += 1
+        rep.add(trial, sigma, y, mass, ratio)
+    # closed-form row energy of a unimodular exponential
+    unit = TrigSlice(1.0, {1: 1.0})
+    ecase = row_energy(unit, 1.0, 0.37, 2000)
+    rep.meta["unimodular_energy"] = ecase
+    # piecewise envelope (1/pi) * integral of min(4, u^2)/u^2 du = 8/pi
+    core, _ = quad(lambda u: 1.0 if abs(u) <= 2.0 else 4.0 / (u * u), -2.0, 2.0, epsabs=1e-10)
+    wing, _ = quad(lambda u: 4.0 / (u * u), 2.0, 200.0, epsabs=1e-10)
+    envelope = (core + 2.0 * (wing + 4.0 / 200.0)) / math.pi
+    rep.meta["envelope_const"] = envelope
+    if abs(ecase - 2.0) > 1e-3 or abs(envelope - 8.0 / math.pi) > 1e-6:
+        rep.meta["violations"] += 1
+    return rep
+
+
+def experiment_ideals_boyd(p_list: list[float], trials: int, seed: int) -> ExperimentReport:
+    """Boyd index and averaging constants for the Schatten scale.
+
+    The averaging check draws all its spectra from one stream seeded by
+    ``seed`` (see ``averaging_constant_check``), not from per-trial streams.
+    """
+    rep = ExperimentReport(
+        "ideals-boyd",
+        seed,
+        ["p", "boyd_estimate", "boyd_analytic", "avg_empirical", "avg_bound"],
+        meta={"violations": 0},
+    )
+    for p in p_list:
+        spec = IdealSpec.schatten(p)
+        est, analytic = boyd_index_estimate(spec, 64)
+        emp, bound = averaging_constant_check(spec, trials, seed)
+        if abs(est - analytic) > 1e-6:
+            rep.meta["violations"] += 1
+        if bound is not None and emp > bound * (1.0 + 1e-9):
+            rep.meta["violations"] += 1
+        rep.add(p, est, analytic, emp, math.nan if bound is None else bound)
+    return rep
+
+
+def _suite_f(config, decay: float = 0.0) -> TrigPolynomial:
+    """The test function of the suites that take one, drawn from the config's seed."""
+    return random_trig_polynomial(config.sigma, 12, config.seed, decay=decay)
+
+
+# Experiment id -> suite run on a validated config (``opcalc.cli.RunConfig``).
+# The entries look each suite up by name when called, so rebinding a module
+# attribute (as a profiler's wrapper does) reaches every dispatch.
+SUITES = {
+    "doi-verify": lambda c: experiment_doi_identity(c.sigma, c.dims, c.trials, c.seed, c.tol),
+    "sinc-check": lambda c: experiment_sinc_check(c.trials, c.seed),
+    "lip-bound": lambda c: experiment_lipschitz(_suite_f(c), c.dims, c.trials, c.seed),
+    "holder-sweep": lambda c: experiment_holder_sweep(
+        _suite_f(c, decay=1.0), c.alpha, c.dims, c.delta_grid, c.trials, c.seed
+    ),
+    "schatten-decay": lambda c: experiment_schatten_decay(
+        _suite_f(c, decay=1.0), c.alpha, c.p[0], c.dims, c.trials, c.seed
+    ),
+    "ideals-boyd": lambda c: experiment_ideals_boyd(c.p, c.trials, c.seed),
+    "qc-verify": lambda c: experiment_quasicommutator(_suite_f(c), c.dims, c.trials, c.seed),
+    "fuglede-ratio": lambda c: experiment_fuglede_ratio(c.dims, c.p, c.trials, c.seed),
+}

@@ -19,11 +19,15 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .bandlimited import TrigPolynomial, TrigSlice, slice_x, slice_y
+from .bandlimited import TrigPolynomial, TrigSlice, divided_difference, slice_x, slice_y
 from .errors import QuadratureError
 
 DEFAULT_TERMS = 2000
-_DD_TOL = 1e-8
+
+
+def _coincidence_tol(x: float) -> float:
+    """Gap to x below which sampled divided differences use the exact derivative."""
+    return 1e-8 * (1.0 + abs(x))
 
 
 def sinc_basis(sigma: float, n, y):
@@ -35,19 +39,6 @@ def sinc_basis(sigma: float, n, y):
     u = sigma * y - math.pi * n
     res = (-1.0) ** n * np.sinc(u / math.pi)
     return res if res.ndim else float(res)
-
-
-def _dd_values(fslice: TrigSlice, x: float, t: np.ndarray) -> np.ndarray:
-    """(f(x) - f(t)) / (x - t) with the derivative at near-coincident points."""
-    t = np.asarray(t, dtype=float)
-    den = x - t
-    near = np.abs(den) <= _DD_TOL * (1.0 + abs(x))
-    safe = np.where(near, 1.0, den)
-    vals = (fslice.eval(np.full_like(t, x)) - fslice.eval(t)) / safe
-    if np.any(near):
-        deriv = fslice.derivative()
-        vals = np.where(near, deriv.eval((x + t) / 2.0), vals)
-    return vals
 
 
 def expansion_tail_bound(
@@ -71,7 +62,9 @@ def reconstruct_dd(
         raise ValueError("sigma must be positive")
     ns = np.arange(-n_terms, n_terms + 1)
     t = math.pi * ns / sigma
-    dd = _dd_values(fslice, x, t)
+    dd = divided_difference(
+        fslice, fslice.derivative(), np.full_like(t, x), t, _coincidence_tol(x)
+    )
     value = complex(np.sum(dd * np.sinc((sigma * y - math.pi * ns) / math.pi)))
     tail = expansion_tail_bound(
         fslice.sup_bracket()[1], sigma, sigma * x, sigma * y, n_terms
@@ -89,7 +82,9 @@ def row_energy(
         raise ValueError("sigma must be positive")
     ns = np.arange(-n_terms, n_terms + 1)
     t = math.pi * ns / sigma
-    dd = _dd_values(fslice, x, t)
+    dd = divided_difference(
+        fslice, fslice.derivative(), np.full_like(t, x), t, _coincidence_tol(x)
+    )
     return float(np.sum(np.abs(dd) ** 2)) / sigma**2
 
 
@@ -121,9 +116,10 @@ def row_energy_integral(
         half_width = 50.0 * math.pi / sigma
     lo, hi = x - half_width, x + half_width
     fx = complex(fslice.eval(x))
+    deriv, xs, tol = fslice.derivative(), np.array([x], dtype=float), _coincidence_tol(x)
 
     def integrand(t):
-        return abs(_dd_values(fslice, x, np.array([t]))[0]) ** 2
+        return abs(divided_difference(fslice, deriv, xs, np.array([t]), tol)[0]) ** 2
 
     core, core_err = quad(integrand, lo, hi, points=[x], epsabs=quad_tol, limit=400)
     if core_err > max(10.0 * quad_tol, 1e-12 * abs(core)):
@@ -172,9 +168,10 @@ def reproducing_integral(
         half_width = 50.0 * math.pi / sigma
     c = (x + y) / 2.0
     lo, hi = c - half_width, c + half_width
+    deriv, xs, tol = fslice.derivative(), np.array([x], dtype=float), _coincidence_tol(x)
 
     def integrand(t):
-        dd = _dd_values(fslice, x, np.array([t]))[0]
+        dd = divided_difference(fslice, deriv, xs, np.array([t]), tol)[0]
         u = y - t
         kern = sigma * np.sinc(sigma * u / math.pi)
         return dd * kern
@@ -257,6 +254,8 @@ def haagerup_factorization(
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
     ns = np.arange(-n_terms, n_terms + 1)
@@ -268,24 +267,19 @@ def haagerup_factorization(
         return a, np.zeros((mu.size, width)), 0.0
     t = math.pi * ns / sigma
     signs = (-1.0) ** ns
-    if axis == "x":
-        a = np.empty((lam.size, width))
-        for j, z in enumerate(lam):
-            a[j] = sinc_basis(sigma, ns, z.real)
-        b = np.empty((mu.size, width), dtype=complex)
-        for k, z in enumerate(mu):
-            g = slice_x(f, z.imag)
-            b[k] = signs * _dd_values(g, z.real, t)
-    elif axis == "y":
-        a = np.empty((lam.size, width), dtype=complex)
-        for j, z in enumerate(lam):
-            g = slice_y(f, z.real)
-            a[j] = signs * _dd_values(g, z.imag, t)
-        b = np.empty((mu.size, width))
-        for k, z in enumerate(mu):
-            b[k] = sinc_basis(sigma, ns, z.imag)
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+
+    def dd_row(z):
+        # divided differences of the slice of f through z along the axis, at t
+        g, x = (slice_x(f, z.imag), z.real) if axis == "x" else (slice_y(f, z.real), z.imag)
+        return signs * divided_difference(
+            g, g.derivative(), np.full_like(t, x), t, _coincidence_tol(x)
+        )
+
+    coord = np.real if axis == "x" else np.imag
+    basis_pts, dd_pts = (lam, mu) if axis == "x" else (mu, lam)
+    basis = np.array([sinc_basis(sigma, ns, coord(z)) for z in basis_pts]).reshape(-1, width)
+    dd = np.array([dd_row(z) for z in dd_pts], dtype=complex).reshape(-1, width)
+    a, b = (basis, dd) if axis == "x" else (dd, basis)
     row_a = math.sqrt(float(np.max(np.sum(np.abs(a) ** 2, axis=1))))
     row_b = math.sqrt(float(np.max(np.sum(np.abs(b) ** 2, axis=1))))
     return a, b, row_a * row_b

@@ -23,13 +23,11 @@ _COMMUTE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """N = U diag(lambda) U* for a normal matrix N, with certified defects."""
+    """N = U diag(lambda) U* for a normal matrix N; ``verify`` re-checks it."""
 
     matrix: np.ndarray
     unitary: np.ndarray
     eigenvalues: np.ndarray
-    normality_defect: float
-    reconstruction_residual: float
 
     @property
     def dim(self) -> int:
@@ -72,17 +70,10 @@ class SpectralDecomposition:
         def mat(rows):
             return np.array([[complex(re, im) for re, im in row] for row in rows])
 
-        matrix = mat(data["matrix"])
-        unitary = mat(data["unitary"])
-        eigenvalues = np.array([complex(re, im) for re, im in data["eigenvalues"]])
         dec = cls(
-            matrix=matrix,
-            unitary=unitary,
-            eigenvalues=eigenvalues,
-            normality_defect=normality_defect(matrix),
-            reconstruction_residual=float(
-                np.linalg.norm((unitary * eigenvalues) @ unitary.conj().T - matrix)
-            ),
+            matrix=mat(data["matrix"]),
+            unitary=mat(data["unitary"]),
+            eigenvalues=np.array([complex(re, im) for re, im in data["eigenvalues"]]),
         )
         dec.verify()
         return dec
@@ -157,14 +148,7 @@ def diagonalize(
             _, q2 = np.linalg.eigh(ac)
             u[:, cols] = sub2 @ q2
     lam = np.einsum("ji,jk,ki->i", u.conj(), n, u)
-    recon = float(np.linalg.norm((u * lam) @ u.conj().T - n))
-    dec = SpectralDecomposition(
-        matrix=n,
-        unitary=u,
-        eigenvalues=lam,
-        normality_defect=defect,
-        reconstruction_residual=recon,
-    )
+    dec = SpectralDecomposition(matrix=n, unitary=u, eigenvalues=lam)
     try:
         dec.verify()
     except (IllSeparatedSpectrumError, NotNormalError) as exc:
@@ -203,9 +187,8 @@ def random_normal(
     """Seeded normal matrix with spectrum uniform in a rectangle of C.
 
     ``spectrum_box`` is (re_min, re_max, im_min, im_max).  Deterministic
-    given the seed; the unitary comes from a phase-fixed QR factorization.
-    The matrix is built as U diag(lambda) U*, so its reconstruction residual
-    is 0 by construction and is stored as 0.0.
+    given the seed; the unitary comes from a phase-fixed QR factorization,
+    and the matrix is built as U diag(lambda) U*.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -214,11 +197,4 @@ def random_normal(
     x0, x1, y0, y1 = spectrum_box
     lam = rng.uniform(x0, x1, dim) + 1j * rng.uniform(y0, y1, dim)
     u = haar_unitary(dim, rng)
-    n = (u * lam) @ u.conj().T
-    return SpectralDecomposition(
-        matrix=n,
-        unitary=u,
-        eigenvalues=lam,
-        normality_defect=normality_defect(n),
-        reconstruction_residual=0.0,
-    )
+    return SpectralDecomposition(matrix=(u * lam) @ u.conj().T, unitary=u, eigenvalues=lam)

@@ -10,7 +10,6 @@ from opcalc.bandlimited import (
     TrigPolynomial,
     band_uppers,
     besov_b1inf1_norm,
-    evaluate,
     jackson_check,
     lp_piece,
     lp_pieces,
@@ -74,15 +73,15 @@ class TestModulus:
 class TestEvaluate:
     def test_constant(self):
         f = TrigPolynomial.constant(1.0)
-        assert evaluate(f, (3.7, -2.0)) == 1.0
+        assert f((3.7, -2.0)) == 1.0
 
     def test_single_exponential(self):
-        assert abs(evaluate(EXP_IX, (math.pi, 0.0)) - (-1.0)) <= 1e-15
+        assert abs(EXP_IX((math.pi, 0.0)) - (-1.0)) <= 1e-15
 
     def test_against_extended_precision(self):
         f = random_trig_polynomial(5.0, 20, seed=12)
         z = (0.3, 0.4)
-        got = evaluate(f, z)
+        got = f(z)
         with mpmath.workdps(40):
             want = mpmath.mpc(0)
             for (j, k), c in f.coeffs.items():

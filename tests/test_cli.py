@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from opcalc.cli import (
+    EXPERIMENTS,
     RunConfig,
     build_config,
     main,
@@ -18,8 +19,16 @@ from opcalc.cli import (
     report_to_svg,
     run,
 )
+from opcalc import perturbation
 from opcalc.bandlimited import random_trig_polynomial
-from opcalc.perturbation import ExperimentReport, coupled_normal_pair
+from opcalc.perturbation import SUITES, ExperimentReport, coupled_normal_pair
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestConfig:
@@ -44,6 +53,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [
         {"dims": [0]}, {"dims": [100]}, {"trials": -1}, {"sigma": -2.0}, {"alpha": 1.5},
+        {"dims": "4"}, {"dims": [2.0]}, {"dims": []}, {"seed": -1}, {"seed": 1.5},
+        {"trials": True}, {"sigma": "2"}, {"sigma": math.inf}, {"alpha": math.nan},
+        {"p": [0.0]}, {"p": [-math.inf]}, {"p": []}, {"delta_grid": [0.0]},
+        {"tol": -1.0}, {"tol": 0.0}, {"out": 3},
     ])
     def test_range_validation(self, bad):
         cfg = RunConfig("doi-verify", **bad)
@@ -52,6 +65,14 @@ class TestConfig:
 
 
 class TestRun:
+    def test_experiment_ids_are_the_suite_table(self):
+        assert EXPERIMENTS == tuple(SUITES)
+
+    def test_table_looks_suites_up_when_called(self, monkeypatch):
+        stub = ExperimentReport("sinc-check", 0, ["a"])
+        monkeypatch.setattr(perturbation, "experiment_sinc_check", lambda *a, **k: stub)
+        assert run(RunConfig("sinc-check", trials=1)) is stub
+
     def test_documented_example(self):
         rep = run(RunConfig("doi-verify", seed=1, dims=[4], sigma=2.0, trials=5))
         assert len(rep.rows) == 5
@@ -160,6 +181,24 @@ class TestRender:
         text = report_to_csv(rep)
         assert float(text.splitlines()[1]) == 0.1 + 0.2
 
+    def test_json_strict_and_round_trips_inf_and_nan(self):
+        rep = ExperimentReport("fuglede-ratio", 0, ["a", "b", "c"],
+                               meta={"p": math.inf, "worst": math.nan})
+        rep.add(math.inf, -math.inf, math.nan)
+        rep.add(1.5, 0.0, -2.0)
+        text = report_to_json(rep)
+        doc = _strict_loads(text)
+        assert doc["rows"][0] == ["inf", "-inf", None]
+        assert doc["meta"]["p"] == "inf" and doc["meta"]["worst"] is None
+        back = report_from_json(text)
+        assert [tuple(map(repr, r)) for r in back.rows] == [tuple(map(repr, r)) for r in rep.rows]
+        assert report_to_json(back) == text
+
+    def test_json_reader_rejects_bare_constants(self):
+        text = '{"meta": {"experiment": "x", "seed": 0, "columns": ["a"]}, "rows": [[Infinity]]}'
+        with pytest.raises(ValueError):
+            report_from_json(text)
+
     def test_json_round_trip_idempotent(self):
         rep = run(RunConfig("doi-verify", seed=1, dims=[3], trials=4))
         once = report_to_json(rep)
@@ -231,3 +270,50 @@ class TestMain:
                      "--delta-grid", "0.5,0.25", "--out", prefix])
         assert code == 0
         assert os.path.exists(prefix + ".svg")
+
+
+class TestUsageErrors:
+    """Bad input exits 2 with a one-line message, no traceback and no output."""
+
+    @pytest.mark.parametrize("argv, config", [
+        (["doi-verify"], {"seeds": 3}),
+        (["doi-verify"], {"dims": "4"}),
+        (["fuglede-ratio", "--p", "0"], None),
+        (["schatten-decay", "--p", "0"], None),
+        (["doi-verify", "--tol", "-1"], None),
+        (["doi-verify", "--dims", "a"], None),
+    ])
+    def test_exit_two(self, tmp_path, capsys, argv, config):
+        prefix = str(tmp_path / "out")
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert main(argv + ["--trials", "2", "--out", prefix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opcalc: error: ") and "Traceback" not in err
+        assert not os.path.exists(prefix + ".csv")
+
+    def test_empty_sweep_skips_svg(self, tmp_path, capsys):
+        prefix = str(tmp_path / "sweep")
+        assert main(["holder-sweep", "--trials", "0", "--out", prefix]) == 0
+        assert os.path.exists(prefix + ".csv") and os.path.exists(prefix + ".json")
+        assert not os.path.exists(prefix + ".svg")
+        assert "not written" in capsys.readouterr().err
+
+
+class TestEveryExperiment:
+    @pytest.mark.parametrize("eid", EXPERIMENTS)
+    def test_main_writes_consistent_strict_outputs(self, tmp_path, eid):
+        prefix = str(tmp_path / eid)
+        argv = [eid, "--seed", "2", "--dims", "2,3", "--trials", "3",
+                "--delta-grid", "0.5,0.125", "--out", prefix]
+        if eid in ("fuglede-ratio", "ideals-boyd"):
+            argv += ["--p", "1,2,inf" if eid == "fuglede-ratio" else "1,2"]
+        assert main(argv) == 0
+        with open(prefix + ".csv", encoding="utf-8") as fh:
+            header, *lines = fh.read().splitlines()
+        with open(prefix + ".json", encoding="utf-8") as fh:
+            doc = _strict_loads(fh.read())
+        assert header.split(",") == doc["meta"]["columns"]
+        assert len(lines) == len(doc["rows"]) > 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opcalc.bandlimited import TrigPolynomial, random_trig_polynomial
+from opcalc.bandlimited import TrigPolynomial, partial_derivative, random_trig_polynomial
 from opcalc.doi import (
     DoiKernel,
     difference_via_doi,
@@ -65,6 +65,19 @@ class TestDividedDifferenceKernel:
 
         dx = partial_derivative(f, "x")
         assert abs(k.values[0, 0] - dx((z.real + z.real + 1e-12) / 2 + 1j * z.imag)) <= 1e-12
+
+    def test_near_coincident_y_uses_derivative(self):
+        f = random_trig_polynomial(3.0, 10, seed=4)
+        lam = np.array([0.4 + 0.3j, -0.2 + 0.9j])
+        mu = np.array([-0.5 + (0.3 + 1e-12) * 1j, 0.1 - 0.7j])
+        k = divided_difference_kernel(f, "y", lam, mu)  # default eps_dd >> 1e-12
+        dy = partial_derivative(f, "y")
+        want = dy.eval(0.4, (0.3 + mu[0].imag) / 2)
+        # the quotient itself would lose ~4 of its 16 digits to cancellation
+        assert abs(k.values[0, 0] - want) <= 1e-13 * (1 + abs(want))
+        x1, y1, y2 = lam[1].real, lam[1].imag, mu[1].imag
+        quotient = (f.eval(x1, y1) - f.eval(x1, y2)) / (y1 - y2)
+        assert abs(k.values[1, 1] - quotient) <= 1e-13 * (1 + abs(quotient))
 
     def test_consistency_invariant_off_diagonal(self):
         f = random_trig_polynomial(2.0, 8, seed=2)

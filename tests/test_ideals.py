@@ -13,9 +13,11 @@ from opcalc.ideals import (
     default_test_family,
     dilate_spectrum,
     kyfan_holder_check,
+    kyfan_p_norm,
     majorization_le,
     psi_norm,
     schatten_norm,
+    schatten_sum,
     sigma_averages,
     singular_values,
 )
@@ -225,6 +227,20 @@ class TestMajorization:
 
     def test_unequal_lengths(self):
         assert majorization_le(spectrum(3.0, 1.0, 1.0), spectrum(2.0))
+
+
+class TestSchattenSum:
+    def test_norm_head_sum_and_psi_agree(self):
+        rng = np.random.default_rng(12)
+        t = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        s = singular_values(t).values
+        for p in (0.5, 1.0, 2.0, 3.5):
+            want = schatten_sum(s, p)
+            assert schatten_norm(t, p) == want
+            assert kyfan_p_norm(t, p, 4) == want
+            assert IdealSpec.schatten(p).psi(s) == want
+            assert kyfan_p_norm(t, p, 1) == schatten_sum(s[:2], p)
+        assert schatten_norm(t, math.inf) == s[0]
 
 
 class TestKyFanHolder:

@@ -19,6 +19,7 @@ from opcalc.perturbation import (
     experiment_schatten_decay,
     extend_by_projection,
     project_convex,
+    trial_draws,
 )
 from opcalc.spectral import functional_calculus, random_normal
 
@@ -161,6 +162,19 @@ class TestCoupledPair:
         n1 = np.linalg.norm(d1.matrix, 2)
         got = np.linalg.norm(d1.matrix - d2.matrix, 2)
         assert abs(got - delta) <= 64.0 * eps * (1.0 + n1)
+
+
+class TestTrialDraws:
+    def test_substreams_and_dim_cycle(self):
+        draws = list(trial_draws(7, 5, [2, 3], (4,)))
+        assert [(t, d) for t, d, _ in draws] == [(0, 2), (1, 3), (2, 2), (3, 3), (4, 2)]
+        for t, _, rng in draws:
+            assert rng.random() == np.random.default_rng((7, 4, t)).random()
+
+    def test_without_dims_or_key(self):
+        draws = list(trial_draws(3, 2))
+        assert [d for _, d, _ in draws] == [None, None]
+        assert draws[1][2].random() == np.random.default_rng((3, 1)).random()
 
 
 class TestExperimentReport:

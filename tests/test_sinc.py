@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opcalc.bandlimited import TrigSlice, random_trig_polynomial, sup_norm
+from opcalc.bandlimited import TrigSlice, random_trig_polynomial, slice_x, slice_y, sup_norm
 from opcalc.doi import divided_difference_kernel, schur_norm_bracket
 from opcalc.sinc import (
     expansion_tail_bound,
@@ -213,6 +213,18 @@ class TestHaagerup:
         lower, up = schur_norm_bracket(kern, (a, b), trials=10, seed=0, factorization_tol=tail)
         assert lower <= up + 1e-8
         assert up <= upper + tail * math.sqrt(36.0) + 1e-9
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_coordinate_on_a_sample_point_gives_derivative(self, axis):
+        f = random_trig_polynomial(2.0, 8, seed=9)
+        n0, terms = 1, 50
+        on = math.pi * n0 / f.support_radius  # the sample point of index n0
+        z = on + 0.3j if axis == "x" else 0.3 + on * 1j
+        a, b, _ = haagerup_factorization(f, axis, np.array([z]), np.array([z]), terms)
+        row = b[0] if axis == "x" else a[0]
+        g = slice_x(f, z.imag) if axis == "x" else slice_y(f, z.real)
+        want = (-1.0) ** n0 * g.derivative()(on)
+        assert abs(row[terms + n0] - want) <= 1e-13 * (1 + abs(want))
 
     def test_bad_axis(self):
         f = random_trig_polynomial(1.0, 4, seed=1)
