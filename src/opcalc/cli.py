@@ -12,8 +12,10 @@ The suites themselves live in ``opcalc.perturbation``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -78,6 +80,9 @@ class RunConfig:
         for name, ok, what in _CHECKS:
             if not ok(getattr(self, name)):
                 raise ValueError(f"{name} must be {what}")
+        # the head-sum envelopes of schatten-decay are defined for finite p only
+        if self.experiment == "schatten-decay" and math.inf in self.p:
+            raise ValueError("p must be finite for schatten-decay")
 
 
 def run(config: RunConfig) -> ExperimentReport:
@@ -201,7 +206,12 @@ def report_to_svg(report: ExperimentReport) -> str:
 
 
 def render(report: ExperimentReport, fmt: str, path: str) -> None:
-    """Write the report to disk in csv, json, or svg form."""
+    """Write the report to disk in csv, json, or svg form.
+
+    The text goes to a temporary file beside ``path`` that then replaces it,
+    so a write that fails part-way leaves ``path`` as it was and no
+    temporary file behind.
+    """
     if fmt == "csv":
         text = report_to_csv(report)
     elif fmt == "json":
@@ -210,8 +220,15 @@ def render(report: ExperimentReport, fmt: str, path: str) -> None:
         text = report_to_svg(report)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def build_config(argv: list[str]) -> RunConfig:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandlimited import TrigPolynomial, divided_difference, partial_derivative
+from .bandlimited import TrigPolynomial, divided_difference
 from .errors import FactorizationError
 from .spectral import SpectralDecomposition, parts
 
@@ -75,20 +75,16 @@ def divided_difference_kernel(
     """
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     x1, y1 = lam.real[:, None], lam.imag[:, None]
     x2, y2 = mu.real[None, :], mu.imag[None, :]
-    deriv = partial_derivative(f, axis)  # raises on an unknown axis
-    if axis == "x":
-        a, b, point = x1, x2, lambda x: (x, y2)
-    else:
-        a, b, point = y1, y2, lambda y: (x1, y)
+    a, b, held = (x1, x2, y2) if axis == "x" else (y1, y2, x1)
     if eps_dd is None:
         eps_dd = default_coincidence_tol(a, b)
     if eps_dd <= 0.0:
         raise ValueError("eps_dd must be positive")
-    values = divided_difference(
-        lambda t: f.eval(*point(t)), lambda t: deriv.eval(*point(t)), a, b, eps_dd
-    )
+    values = divided_difference(f, a, b, eps_dd, axis, held)
     return DoiKernel(rows=lam, cols=mu, values=values, provenance=f"d{axis}")
 
 

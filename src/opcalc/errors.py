@@ -43,7 +43,3 @@ class QuadratureError(OpcalcError):
         super().__init__(
             f"quadrature reached {achieved:.3e}, requested {requested:.3e}"
         )
-
-
-class BoundViolationError(OpcalcError):
-    """A certified bound was violated by a measured quantity."""

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolationError
-
 
 @dataclass(frozen=True)
 class SingularSpectrum:
@@ -287,8 +285,9 @@ def averaging_constant_check(
     """Empirical vs certified constant in the Cesaro-averaging inequality.
 
     Returns (empirical_C, bound_C); ``bound_C`` is None when the ideal's Boyd
-    index is not known to be below one.  Raises ``BoundViolationError`` if a
-    sampled ratio exceeds an available certified bound.
+    index is not known to be below one.  Nothing is raised when empirical_C
+    exceeds bound_C: judging that is the caller's part (``ideals-boyd``
+    counts it as a violation).
     """
     bound = averaging_bound(spec)
     empirical = 0.0
@@ -298,10 +297,6 @@ def averaging_constant_check(
             continue
         ratio = spec.psi(sigma_averages(s)) / denom
         empirical = max(empirical, ratio)
-    if bound is not None and empirical > bound * (1.0 + 1e-9):
-        raise BoundViolationError(
-            f"averaging ratio {empirical:.6f} exceeds certified bound {bound:.6f}"
-        )
     return empirical, bound
 
 

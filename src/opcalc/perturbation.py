@@ -540,6 +540,8 @@ def experiment_ideals_boyd(p_list: list[float], trials: int, seed: int) -> Exper
 
     The averaging check draws all its spectra from one stream seeded by
     ``seed`` (see ``averaging_constant_check``), not from per-trial streams.
+    A Boyd estimate more than 1e-6 off its analytic value, or an averaging
+    constant above its certified bound, counts as a violation.
     """
     rep = ExperimentReport(
         "ideals-boyd",

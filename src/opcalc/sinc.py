@@ -19,14 +19,14 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .bandlimited import TrigPolynomial, TrigSlice, divided_difference, slice_x, slice_y
+from .bandlimited import TrigPolynomial, TrigSlice, divided_difference
 from .errors import QuadratureError
 
 DEFAULT_TERMS = 2000
 
 
-def _coincidence_tol(x: float) -> float:
-    """Gap to x below which sampled divided differences use the exact derivative."""
+def _coincidence_tol(x):
+    """Gap to x (float or array) below which sampled divided differences use the derivative."""
     return 1e-8 * (1.0 + abs(x))
 
 
@@ -62,9 +62,7 @@ def reconstruct_dd(
         raise ValueError("sigma must be positive")
     ns = np.arange(-n_terms, n_terms + 1)
     t = math.pi * ns / sigma
-    dd = divided_difference(
-        fslice, fslice.derivative(), np.full_like(t, x), t, _coincidence_tol(x)
-    )
+    dd = divided_difference(fslice, np.array([x], dtype=float), t, _coincidence_tol(x))
     value = complex(np.sum(dd * np.sinc((sigma * y - math.pi * ns) / math.pi)))
     tail = expansion_tail_bound(
         fslice.sup_bracket()[1], sigma, sigma * x, sigma * y, n_terms
@@ -82,9 +80,7 @@ def row_energy(
         raise ValueError("sigma must be positive")
     ns = np.arange(-n_terms, n_terms + 1)
     t = math.pi * ns / sigma
-    dd = divided_difference(
-        fslice, fslice.derivative(), np.full_like(t, x), t, _coincidence_tol(x)
-    )
+    dd = divided_difference(fslice, np.array([x], dtype=float), t, _coincidence_tol(x))
     return float(np.sum(np.abs(dd) ** 2)) / sigma**2
 
 
@@ -116,10 +112,10 @@ def row_energy_integral(
         half_width = 50.0 * math.pi / sigma
     lo, hi = x - half_width, x + half_width
     fx = complex(fslice.eval(x))
-    deriv, xs, tol = fslice.derivative(), np.array([x], dtype=float), _coincidence_tol(x)
+    xs, tol = np.array([x], dtype=float), _coincidence_tol(x)
 
     def integrand(t):
-        return abs(divided_difference(fslice, deriv, xs, np.array([t]), tol)[0]) ** 2
+        return abs(divided_difference(fslice, xs, np.array([t]), tol)[0]) ** 2
 
     core, core_err = quad(integrand, lo, hi, points=[x], epsabs=quad_tol, limit=400)
     if core_err > max(10.0 * quad_tol, 1e-12 * abs(core)):
@@ -168,10 +164,10 @@ def reproducing_integral(
         half_width = 50.0 * math.pi / sigma
     c = (x + y) / 2.0
     lo, hi = c - half_width, c + half_width
-    deriv, xs, tol = fslice.derivative(), np.array([x], dtype=float), _coincidence_tol(x)
+    xs, tol = np.array([x], dtype=float), _coincidence_tol(x)
 
     def integrand(t):
-        dd = divided_difference(fslice, deriv, xs, np.array([t]), tol)[0]
+        dd = divided_difference(fslice, xs, np.array([t]), tol)[0]
         u = y - t
         kern = sigma * np.sinc(sigma * u / math.pi)
         return dd * kern
@@ -266,19 +262,15 @@ def haagerup_factorization(
         a[:, n_terms] = 1.0
         return a, np.zeros((mu.size, width)), 0.0
     t = math.pi * ns / sigma
-    signs = (-1.0) ** ns
-
-    def dd_row(z):
-        # divided differences of the slice of f through z along the axis, at t
-        g, x = (slice_x(f, z.imag), z.real) if axis == "x" else (slice_y(f, z.real), z.imag)
-        return signs * divided_difference(
-            g, g.derivative(), np.full_like(t, x), t, _coincidence_tol(x)
-        )
-
-    coord = np.real if axis == "x" else np.imag
+    coord, held = (np.real, np.imag) if axis == "x" else (np.imag, np.real)
     basis_pts, dd_pts = (lam, mu) if axis == "x" else (mu, lam)
-    basis = np.array([sinc_basis(sigma, ns, coord(z)) for z in basis_pts]).reshape(-1, width)
-    dd = np.array([dd_row(z) for z in dd_pts], dtype=complex).reshape(-1, width)
+    basis = sinc_basis(sigma, ns, coord(basis_pts)[:, None])
+    # row r: divided differences at t of the slice of f through dd_pts[r]
+    # along the axis; the slices' values at t are one product of phase tables
+    x = coord(dd_pts)[:, None]
+    dd = (-1.0) ** ns * divided_difference(
+        f, x, t[None, :], _coincidence_tol(x), axis, held(dd_pts)[:, None]
+    )
     a, b = (basis, dd) if axis == "x" else (dd, basis)
     row_a = math.sqrt(float(np.max(np.sum(np.abs(a) ** 2, axis=1))))
     row_b = math.sqrt(float(np.max(np.sum(np.abs(b) ** 2, axis=1))))

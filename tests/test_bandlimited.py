@@ -1,13 +1,16 @@
+import cmath
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from opcalc import bandlimited
 from opcalc.bandlimited import (
     DEFAULT_WINDOW,
     ModulusOfContinuity,
     TrigPolynomial,
+    TrigSlice,
     band_uppers,
     besov_b1inf1_norm,
     jackson_check,
@@ -99,6 +102,103 @@ class TestEvaluate:
     def test_complex_argument(self):
         z = 0.3 + 0.4j
         assert abs(EXP_IX(z) - np.exp(1j * 0.3)) <= 1e-15
+
+
+def _term_sum(g, *coords):
+    """g at every broadcast point, summed term by term with cmath."""
+    pts = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+    out = np.empty(pts[0].shape, dtype=complex)
+    for idx in np.ndindex(out.shape):
+        t = [float(p[idx]) for p in pts]
+        total = 0j
+        for key, c in g.coeffs.items():
+            k = (key,) if isinstance(key, int) else key
+            total += c * cmath.exp(1j * g.h * sum(a * b for a, b in zip(k, t)))
+        out[idx] = total
+    return out
+
+
+def _assert_oracle(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13 * (1.0 + np.abs(want).max(initial=0.0))
+
+
+F12 = random_trig_polynomial(8.0, 12, seed=31)
+# point counts below and above the one-shot rule for F12, and above one block
+SMALL = bandlimited._ONE_SHOT_ENTRIES // 12
+LARGE = bandlimited._BLOCK_POINTS + 37
+WIDE = (
+    TrigPolynomial(0.05, {(64, 0): 1.0 - 2.0j}),  # one term, |j| = 64
+    TrigPolynomial(0.05, {(-3, 64): 0.5j}),  # one term, |k| = 64
+    TrigPolynomial(0.05, {(64, 0): 1.0, (0, 0): -0.5, (-2, 1): 2.0j}),  # sparse, wide span
+    TrigPolynomial(1e-6, {(10**6, -(10**6)): 1.0, (-(10**6), 3): 2.0j}),  # spans of 2e6
+)
+
+
+class TestEvaluationRoutine:
+    """eval against a term-by-term cmath sum, on every path of the routine."""
+
+    def test_scalar_and_zero_dim(self):
+        for x, y in ((0.3, -1.2), (np.float64(2.5), 7), (np.array(0.3), np.array(-1.2))):
+            got = F12.eval(x, y)
+            assert isinstance(got, complex)
+            _assert_oracle(np.array(got), _term_sum(F12, x, y))
+
+    @pytest.mark.parametrize("n", [1, 8, SMALL, SMALL + 1, 4096, LARGE])
+    def test_vector(self, n):
+        rng = np.random.default_rng(n)
+        x, y = rng.uniform(-10.0, 10.0, (2, n))
+        _assert_oracle(F12.eval(x, y), _term_sum(F12, x, y))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 4), (8, 8), (12, 40), (64, 64)])
+    def test_column_against_row(self, n, m):
+        rng = np.random.default_rng((n, m))
+        x = rng.uniform(-10.0, 10.0, (n, 1))
+        y = rng.uniform(-10.0, 10.0, (1, m))
+        _assert_oracle(F12.eval(x, y), _term_sum(F12, x, y))
+        _assert_oracle(F12.eval(y, x), _term_sum(F12, y, x))  # a row of x against a column of y
+
+    @pytest.mark.parametrize("n", [3, 8, 30])
+    def test_square_arrays(self, n):
+        rng = np.random.default_rng(n)
+        x, y = rng.uniform(-10.0, 10.0, (2, n, n))
+        _assert_oracle(F12.eval(x, y), _term_sum(F12, x, y))
+        _assert_oracle(F12.eval(x, 0.7), _term_sum(F12, x, 0.7))
+
+    def test_empty_polynomial(self):
+        zero = TrigPolynomial(1.0, {})
+        assert zero.eval(0.3, 0.4) == 0j
+        assert zero.eval(np.zeros((3, 1)), np.zeros((1, 5))).shape == (3, 5)
+        assert not np.any(zero.eval(np.ones(LARGE), 0.0))
+
+    @pytest.mark.parametrize("g", WIDE)
+    @pytest.mark.parametrize("n", [1, 40, LARGE])
+    def test_high_frequencies(self, g, n):
+        rng = np.random.default_rng(n)
+        x, y = rng.uniform(-10.0, 10.0, (2, n))
+        _assert_oracle(g.eval(x, y), _term_sum(g, x, y))
+        _assert_oracle(g.eval(x[:, None], y[None, :8]), _term_sum(g, x[:, None], y[None, :8]))
+
+    @pytest.mark.parametrize("coeffs", [
+        {-4: 1.0, 0: 0.5j, 3: -2.0},
+        {64: 1.0 + 1.0j},
+        {64: 1.0, -1: 0.25, 0: 3.0},
+        {},
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 7, 200, 4001, LARGE])
+    def test_slice(self, coeffs, n):
+        g = TrigSlice(0.5, coeffs)
+        t = np.random.default_rng(n).uniform(-20.0, 20.0, n)
+        _assert_oracle(g.eval(t), _term_sum(g, t))
+        _assert_oracle(g.eval(t.reshape(-1, 1)), _term_sum(g, t.reshape(-1, 1)))
+        assert isinstance(g.eval(1.5), complex)
+
+    def test_arrays_are_read_only(self):
+        for arr in (F12._terms.freqs, F12._terms.amps, F12._terms.lo, F12._terms.span):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        with pytest.raises(AttributeError):
+            TrigSlice(1.0, {1: 1.0}).h = 2.0
 
 
 class TestPartialDerivative:

@@ -19,7 +19,7 @@ from opcalc.cli import (
     report_to_svg,
     run,
 )
-from opcalc import perturbation
+from opcalc import ideals, perturbation
 from opcalc.bandlimited import random_trig_polynomial
 from opcalc.perturbation import SUITES, ExperimentReport, coupled_normal_pair
 
@@ -271,6 +271,52 @@ class TestMain:
         assert code == 0
         assert os.path.exists(prefix + ".svg")
 
+    def test_averaging_violation_exit_one(self, tmp_path, monkeypatch, capsys):
+        # a certified averaging constant of 1 is below every sampled ratio
+        monkeypatch.setattr(ideals, "averaging_bound", lambda spec: 1.0)
+        prefix = str(tmp_path / "boyd")
+        code = main(["ideals-boyd", "--p", "2", "--trials", "20", "--out", prefix])
+        assert code == 1
+        assert "1 violations" in capsys.readouterr().out
+        with open(prefix + ".json", encoding="utf-8") as fh:
+            doc = _strict_loads(fh.read())
+        assert doc["meta"]["violations"] == 1
+        assert doc["rows"][0][3] > doc["rows"][0][4] == 1.0
+
+
+class TestAtomicRender:
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # a lone surrogate cannot be encoded, so the write fails after the open
+        rep = ExperimentReport("doi-verify", 0, ["a", "\ud800"])
+        path = tmp_path / "out.csv"
+        with pytest.raises(UnicodeEncodeError):
+            render(rep, "csv", str(path))
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            render(ExperimentReport("doi-verify", 0, ["\ud800"]), "csv", str(path))
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert path.read_text(encoding="utf-8") == "old\n"
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            render(ExperimentReport("doi-verify", 0, ["a"]), "csv", str(tmp_path / "out.csv"))
+        assert os.listdir(tmp_path) == []
+
+    def test_write_replaces_the_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n", encoding="utf-8")
+        render(ExperimentReport("doi-verify", 0, ["a"]), "csv", str(path))
+        assert path.read_text(encoding="utf-8") == "a\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
 
 class TestUsageErrors:
     """Bad input exits 2 with a one-line message, no traceback and no output."""
@@ -282,6 +328,8 @@ class TestUsageErrors:
         (["schatten-decay", "--p", "0"], None),
         (["doi-verify", "--tol", "-1"], None),
         (["doi-verify", "--dims", "a"], None),
+        (["schatten-decay", "--p", "inf"], None),
+        (["schatten-decay"], {"p": [2.0, float("inf")]}),
     ])
     def test_exit_two(self, tmp_path, capsys, argv, config):
         prefix = str(tmp_path / "out")

@@ -226,6 +226,35 @@ class TestHaagerup:
         want = (-1.0) ** n0 * g.derivative()(on)
         assert abs(row[terms + n0] - want) <= 1e-13 * (1 + abs(want))
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("terms", [3, 2000])
+    def test_rows_match_per_row_slices(self, axis, terms):
+        f = random_trig_polynomial(4.0, 12, seed=7)
+        sigma = f.support_radius
+        rng = np.random.default_rng((3, terms))
+        pts = rng.uniform(-2, 2, 6) + 1j * rng.uniform(-2, 2, 6)
+        # rows whose coordinate along the axis is exactly a sample point pi n / sigma
+        on = np.array([math.pi * n / sigma for n in (-2, 0, 1)])
+        other = rng.uniform(-1, 1, on.size)
+        pts = np.concatenate([pts, on + 1j * other if axis == "x" else other + 1j * on])
+        lam, mu = (pts[:2], pts) if axis == "x" else (pts, pts[:2])
+        a, b, upper = haagerup_factorization(f, axis, lam, mu, terms)
+        basis, dd = (a, b) if axis == "x" else (b, a)
+        ns = np.arange(-terms, terms + 1)
+        t = math.pi * ns / sigma
+        for row, z in zip(dd, pts):
+            g = slice_x(f, z.imag) if axis == "x" else slice_y(f, z.real)
+            x = z.real if axis == "x" else z.imag
+            near = np.abs(x - t) <= 1e-8 * (1.0 + abs(x))
+            want = (g(x) - g(t)) / np.where(near, 1.0, x - t)
+            want = np.where(near, g.derivative()((x + t) / 2.0), want) * (-1.0) ** ns
+            assert np.abs(row - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+        for row, z in zip(basis, pts[:2]):
+            assert np.array_equal(row, [sinc_basis(sigma, n, (z.real, z.imag)[axis == "y"])
+                                        for n in ns])
+        energies = [np.sum(np.abs(m) ** 2, axis=1).max() for m in (a, b)]
+        assert upper == pytest.approx(math.sqrt(energies[0] * energies[1]), rel=1e-14)
+
     def test_bad_axis(self):
         f = random_trig_polynomial(1.0, 4, seed=1)
         with pytest.raises(ValueError):
