@@ -2,7 +2,7 @@
 
 Everything here is a trigonometric polynomial on a frequency lattice
 ``h * Z^2``, so sup norms admit certified (lower, upper) brackets via grid
-sampling plus the Bernstein gradient bound, and dyadic decompositions are
+sampling plus a second-order Bernstein bound, and dyadic decompositions are
 exact coefficientwise operations.
 """
 
@@ -18,9 +18,15 @@ from scipy.integrate import quad
 
 from .errors import DivergentTailError, GridTooCoarseError
 
-DEFAULT_REFINEMENT = 256
-MAX_REFINEMENT = 4096
-BRACKET_REL_WIDTH = 1e-6
+# The auto policy of ``grid_bracket``: one grid of _AUTO_GRID points per
+# period, or more where the second-order bound needs them, never above
+# _MAX_GRID (4096^2 complex values take 256 MB).  Each of at most
+# _MAX_CANDIDATES candidate cells is resampled on a _PATCH^d patch.
+_AUTO_GRID = 256
+_MAX_GRID = 4096
+_PATCH = 64
+_MAX_CANDIDATES = 64
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -391,28 +397,105 @@ class TrigSlice:
         return self._terms.grid(m)
 
     def sup_bracket(self, refinement: int = 4096) -> tuple[float, float]:
-        """Certified (lower, upper) bracket of the sup norm over one period."""
+        """Certified (lower, upper) bracket of the sup norm over one period.
+
+        ``grid_bracket`` on the refinement-point grid (r = delta / 2).
+        """
         if not self.coeffs:
             return 0.0, 0.0
         return grid_bracket(self, self.type_bound, int(refinement))
 
 
-def grid_bracket(g: "TrigPolynomial | TrigSlice", sigma: float, m: int) -> tuple[float, float]:
-    """Certified bracket lower <= ||g||_inf <= upper from the m^d grid of g.
+def grid_bracket(
+    g: "TrigPolynomial | TrigSlice", sigma: float, m: int | None = None
+) -> tuple[float, float]:
+    """Certified bracket lower <= ||g||_inf <= upper from samples of g.
 
     g is a trig polynomial in d = ``g.ndim`` variables of exponential type
-    sigma.  The lower bound is the grid maximum of |g| over one period; every
-    point lies within delta * sqrt(d)/2 of the grid (delta = period / m), so
-    the Bernstein bound gives upper = lower / (1 - sigma * delta * sqrt(d)/2).
+    sigma, with terms c_k.  The bracket rests on a second-order Bernstein
+    bound (Boas, *Entire Functions*, 1954, ch. 11).  Let z* maximize |g|,
+    M = |g(z*)|, theta = arg g(z*), v a unit vector and
+    u(t) = Re(e^{-i theta} g(z* + t v)).  Then u <= |g| <= M = u(0), so
+    u'(0) = 0, and u'' is bounded by sigma^2 M (Bernstein's inequality
+    twice), so |g(z* + t v)| >= u(t) >= M (1 - sigma^2 t^2 / 2).  A sample
+    within r of z* is therefore at least M (1 - q), q = sigma^2 r^2 / 2,
+    and M <= (largest sample) / (1 - q) while sigma r < sqrt(2).  The
+    first-order bound M <= (largest sample) / (1 - sigma r) is never
+    tighter.  Independently, M <= sum_k |c_k| (triangle inequality), with
+    equality for one term and for two or three terms whose frequencies are
+    in general position; every upper is capped by it.
+
+    With an integer m the samples are the m^d grid over one period
+    (delta = period / m, r = delta sqrt(d) / 2, by FFT), and the lower
+    bound is their maximum of |g|.  With m None (the auto policy) the grid
+    has 256 points per period, or the least power of two above that on
+    which sigma r < sqrt(2), at most 4096.  The maximizer's nearest grid
+    point G has |g(G)| >= M (1 - q) >= lower (1 - q), so only grid points
+    that reach lower (1 - q) are candidates.  If at most 64 are, g is
+    evaluated directly on a 64^d cell-centred patch of each candidate's
+    cell (spacing delta / 64, so q shrinks 4096-fold); z* lies in
+    one of these cells, and the bracket is the largest patch value over
+    1 - q / 4096.  With more candidates (|g| nearly constant, as for pieces
+    of one to three terms) the one-grid bracket stands, capped as above.
+
+    Rounding: each maximum of computed values gets a slack added before the
+    division, s = (n + 2T + 8) u sum_k |c_k| (T terms, u = 2^-53).  An FFT
+    value passes L = log2(m^d) butterfly stages whose multipliers have
+    modulus one, each with relative error eta = mu + gamma_4 (sqrt 2 + mu)
+    < 7u for twiddles accurate to mu ~ u (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., 2002, ch. 24), and every coefficient
+    reaches every value once, so its error is at most
+    ((1 + eta)^L - 1) sum_k |c_k| < 8 L u sum_k |c_k|: n = 8 L, for m a
+    power of two (every grid opcalc samples), where the scaling by m^d is
+    exact.  A patch value
+    multiplies per axis a table row (e^{ihx})^k with |k| <= K_a, built
+    from one exponential by at most span_a products (``_phase_powers``),
+    at |h x| < 2 pi; each row is then accurate to 13 (K_a + span_a) u, the
+    one-exponential form is no worse, and n = 24 sum_a (K_a + span_a + 1).
+    The 2T term bounds the sum over the terms and the 8 the final sum and
+    division (q is inflated by 8u to cover its own rounding).  The cap is
+    inflated by (T + 2) u, and upper is never below lower.
     """
+    d = g.ndim
+    terms = g._terms
+    l1 = float(np.abs(terms.amps).sum())
+    cap = l1 * (1.0 + (terms.amps.size + 2) * _UNIT_ROUNDOFF)
+    auto = m is None
+    if auto:
+        # sigma r < sqrt(2) needs m > need; the least power of two above it, within bounds
+        need = math.pi * sigma * math.sqrt(d / 2.0) / g.h
+        m = _AUTO_GRID
+        if need >= _AUTO_GRID:
+            m = min(2 ** (math.floor(math.log2(need)) + 1), _MAX_GRID)
     delta = 2.0 * math.pi / g.h / m
-    eps = sigma * delta * (math.sqrt(g.ndim) / 2.0)
-    if eps >= 1.0:
+    q = (sigma * delta * math.sqrt(d) / 2.0) ** 2 / 2.0 * (1.0 + 8.0 * _UNIT_ROUNDOFF)
+    if q >= 1.0:
         raise GridTooCoarseError(
             f"grid spacing {delta:.3e} too coarse for exponential type {sigma:.3e}"
         )
-    lower = float(np.abs(g.grid_values(m)).max())
-    return lower, lower / (1.0 - eps)
+    mod = np.abs(g.grid_values(m))
+    lower = float(mod.max())
+    slack = _rounding_slack(terms, l1, 8.0 * d * math.log2(m))
+    upper = (lower + slack) / (1.0 - q)
+    if auto:
+        cells = np.flatnonzero(mod >= (lower - slack) * (1.0 - q) - slack)
+        if cells.size <= _MAX_CANDIDATES:
+            offsets = (np.arange(_PATCH) + 0.5 - _PATCH / 2.0) * (delta / _PATCH)
+            top = 0.0
+            for cell in zip(*np.unravel_index(cells, mod.shape)):
+                # in 2-D a column of x against a row of y: one product in ``_Terms``
+                patch = np.ix_(*(i * delta + offsets for i in cell))
+                top = max(top, float(np.abs(terms(*patch)).max()))
+            reach = terms.span + np.abs(terms.freqs).max(axis=0) + 1
+            slack = _rounding_slack(terms, l1, 24.0 * float(reach.sum()))
+            lower = max(lower, top)
+            upper = (top + slack) / (1.0 - q / _PATCH**2)
+    return lower, max(lower, min(upper, cap))
+
+
+def _rounding_slack(terms: _Terms, l1: float, steps: float) -> float:
+    """(steps + 2T + 8) u sum_k |c_k|: the rounding of one computed value (see ``grid_bracket``)."""
+    return (steps + 2.0 * terms.amps.size + 8.0) * _UNIT_ROUNDOFF * l1
 
 
 def slice_x(f: TrigPolynomial, y0: float) -> TrigSlice:
@@ -494,58 +577,36 @@ def lp_pieces(f: TrigPolynomial, win: CutoffWindow = DEFAULT_WINDOW) -> dict[int
     return pieces
 
 
-def band_uppers(
-    f: TrigPolynomial,
-    win: CutoffWindow = DEFAULT_WINDOW,
-    refinement: int | None = None,
-) -> dict[int, float]:
+def band_uppers(f: TrigPolynomial, win: CutoffWindow = DEFAULT_WINDOW) -> dict[int, float]:
     """Certified upper ||f_n||_upper of every nonzero dyadic piece, keyed by n.
 
     Keys ascend, so sums over the values keep the band order of ``lp_pieces``.
     """
-    return {n: sup_norm(piece, refinement)[1] for n, piece in lp_pieces(f, win).items()}
+    return {n: sup_norm(piece)[1] for n, piece in lp_pieces(f, win).items()}
 
 
 def sup_norm(f: TrigPolynomial, refinement: int | None = None) -> tuple[float, float]:
     """Certified bracket lower <= ||f||_inf <= upper.
 
-    The lower bound is the grid maximum of |f| over one period; the upper
-    bound divides by (1 - eps), eps = sigma * delta * sqrt(2)/2, valid by the
-    Bernstein derivative bound for band-limited functions.  With
-    ``refinement=None`` the grid starts at 256 points per period and doubles
-    until the bracket width drops below 1e-6 of the lower bound or the
-    4096-point cap.  On m points per period eps = pi * sqrt(2) * R / m for
-    the lattice radius R = support_radius / h, so the relative width is
-    about 4.4 * R / m: 1e-6 would need m above 4e6 * R, and every
-    nonconstant f (R >= 1) runs all five grids, 256^2 to 4096^2, and ends
-    at a relative width of about 1.1e-3 * R.
+    ``grid_bracket`` on f's exponential type ``support_radius``: with
+    ``refinement=None`` its auto policy (one FFT grid, then 64 x 64 patches
+    of the few candidate cells, the one-grid bracket above 64 candidates,
+    every upper capped by sum_k |c_k|), otherwise the second-order bracket
+    of the refinement x refinement grid.  A constant has the bracket
+    (|c|, |c|).
     """
     if not f.coeffs:
         return 0.0, 0.0
-    if refinement is not None:
-        return grid_bracket(f, f.support_radius, int(refinement))
-    m = DEFAULT_REFINEMENT
-    while True:
-        try:
-            lower, upper = grid_bracket(f, f.support_radius, m)
-        except GridTooCoarseError:
-            if m >= MAX_REFINEMENT:
-                raise
-            m *= 2
-            continue
-        if upper - lower < BRACKET_REL_WIDTH * lower or m >= MAX_REFINEMENT:
-            return lower, upper
-        m *= 2
+    if f.support_radius == 0.0:
+        value = abs(f.coeffs[(0, 0)])
+        return value, value
+    return grid_bracket(f, f.support_radius, None if refinement is None else int(refinement))
 
 
-def besov_b1inf1_norm(
-    f: TrigPolynomial,
-    win: CutoffWindow = DEFAULT_WINDOW,
-    refinement: int | None = None,
-) -> float:
+def besov_b1inf1_norm(f: TrigPolynomial, win: CutoffWindow = DEFAULT_WINDOW) -> float:
     """Surrogate B^1_{inf,1} norm: sum_n 2^n * upper bracket of the n-th piece."""
     total = 0.0
-    for n, upper in band_uppers(f, win, refinement).items():
+    for n, upper in band_uppers(f, win).items():
         total += 2.0**n * upper
     return total
 
@@ -595,7 +656,6 @@ def jackson_check(
     win: CutoffWindow = DEFAULT_WINDOW,
     samples: int = 10000,
     seed: int = 0,
-    refinement: int | None = None,
 ) -> list[tuple[int, float, float, float, float]]:
     """Empirical constants for the smoothing error ||f - f*V_n||_inf.
 
@@ -606,8 +666,8 @@ def jackson_check(
     sem = seminorm_estimate(f, omega, samples, seed)
     rows = []
     for n in n_range:
-        lhs = sup_norm(f - vp_smooth(f, n, win), refinement)[1]
-        piece = sup_norm(lp_piece(f, n, win), refinement)[1]
+        lhs = sup_norm(f - vp_smooth(f, n, win))[1]
+        piece = sup_norm(lp_piece(f, n, win))[1]
         denom = omega(2.0**-n) * sem
         if denom <= 0.0:
             if max(lhs, piece) > 0.0:

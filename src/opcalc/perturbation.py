@@ -144,7 +144,6 @@ def extend_by_projection(f, body: ConvexBody):
 def certified_lipschitz_constant(
     f: TrigPolynomial,
     win: CutoffWindow = DEFAULT_WINDOW,
-    refinement: int | None = None,
 ) -> float:
     """Certified operator Lipschitz constant of f.
 
@@ -154,7 +153,7 @@ def certified_lipschitz_constant(
     dominated by the difference itself.
     """
     total = 0.0
-    for n, upper in band_uppers(f, win, refinement).items():
+    for n, upper in band_uppers(f, win).items():
         total += 2.0 ** (n + 1) * upper
     return 2.0 * _SQRT3 * total
 
@@ -163,14 +162,13 @@ def certified_modulus_bound(
     f: TrigPolynomial,
     delta: float,
     win: CutoffWindow = DEFAULT_WINDOW,
-    refinement: int | None = None,
 ) -> float:
     """Certified upper bound for ||f(N1) - f(N2)|| whenever ||N1 - N2|| <= delta.
 
     Optimizes the split between the Lipschitz estimate on low bands and the
     crude 2 ||f_n||_inf estimate on high bands.
     """
-    return _modulus_bound_from_uppers(band_uppers(f, win, refinement), delta)
+    return _modulus_bound_from_uppers(band_uppers(f, win), delta)
 
 
 def _modulus_bound_from_uppers(uppers: dict[int, float], delta: float) -> float:
@@ -208,14 +206,13 @@ def coupled_normal_pair(
     """Normal pair sharing an eigenbasis with ||N1 - N2|| = delta.
 
     What is exact is the eigenvalue shift: lambda2 - lambda1 has sup-modulus
-    delta.  N2 is formed as U diag(lambda2) U*, so the formed matrices
-    differ by delta in operator norm only up to rounding (about 1e-16 for
-    entries of order one).
+    delta.  N2 is formed as U diag(lambda2) U* when it is read, so the
+    formed matrices differ by delta in operator norm only up to rounding
+    (about 1e-16 for entries of order one).
     """
     d1 = random_normal(dim, box, rng=rng)
     lam2 = d1.eigenvalues + delta * _unit_sup_direction(dim, rng, rank)
-    n2 = (d1.unitary * lam2) @ d1.unitary.conj().T
-    return d1, SpectralDecomposition(matrix=n2, unitary=d1.unitary, eigenvalues=lam2)
+    return d1, SpectralDecomposition(d1.unitary, lam2)
 
 
 def independent_normal_pair(dim: int, rng: np.random.Generator, box=DEFAULT_BOX):
@@ -242,14 +239,13 @@ def experiment_lipschitz(
     trials: int,
     seed: int,
     win: CutoffWindow = DEFAULT_WINDOW,
-    refinement: int | None = 512,
 ) -> ExperimentReport:
     """Operator-norm and trace-norm Lipschitz quotients against the certified constant.
 
     Alternates independent and coupled normal pairs; every quotient must stay
     below the certified constant, in operator norm and in trace norm.
     """
-    lip = certified_lipschitz_constant(f, win, refinement)
+    lip = certified_lipschitz_constant(f, win)
     rep = ExperimentReport(
         "lip-bound",
         seed,
@@ -283,7 +279,6 @@ def experiment_holder_sweep(
     trials: int,
     seed: int,
     win: CutoffWindow = DEFAULT_WINDOW,
-    refinement: int | None = 512,
     box=DEFAULT_BOX,
 ) -> ExperimentReport:
     """Measured vs certified moduli across a grid of perturbation sizes.
@@ -313,7 +308,7 @@ def experiment_holder_sweep(
         meta={"alpha": alpha, "violations": 0,
               "plot": {"x": "delta", "y": "measured_max_norm", "slope": alpha}},
     )
-    uppers = band_uppers(f, win, refinement)
+    uppers = band_uppers(f, win)
     for grid_idx, delta in enumerate(delta_grid):
         certified = _modulus_bound_from_uppers(uppers, delta)
         measured = 0.0
@@ -397,14 +392,13 @@ def experiment_quasicommutator(
     trials: int,
     seed: int,
     win: CutoffWindow = DEFAULT_WINDOW,
-    refinement: int | None = 512,
 ) -> ExperimentReport:
     """Quasicommutator identity residuals and the certified domination.
 
     Rows: (trial, dim, measured, residual, max_quasicomm, certified) where
     certified = L(f) * max(||N1 R - R N2||, ||N1* R - R N2*||).
     """
-    lip = certified_lipschitz_constant(f, win, refinement)
+    lip = certified_lipschitz_constant(f, win)
     rep = ExperimentReport(
         "qc-verify",
         seed,

@@ -8,7 +8,7 @@ reconstruction, and commuting Hermitian parts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,17 +21,31 @@ _RECON_TOL = 1e-9
 _COMMUTE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class SpectralDecomposition:
-    """N = U diag(lambda) U* for a normal matrix N; ``verify`` re-checks it."""
+    """N = U diag(lambda) U* for a normal matrix N; ``verify`` re-checks it.
 
-    matrix: np.ndarray
-    unitary: np.ndarray
-    eigenvalues: np.ndarray
+    ``matrix`` is N as given, or, when none is given, U diag(lambda) U*
+    formed when it is first read, so a caller that needs only the
+    eigenbasis never pays for the product.  Attributes are read-only.
+    """
+
+    def __init__(self, unitary: np.ndarray, eigenvalues: np.ndarray,
+                 matrix: np.ndarray | None = None):
+        object.__setattr__(self, "unitary", unitary)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        if matrix is not None:
+            self.__dict__["matrix"] = matrix
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SpectralDecomposition is immutable")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return (self.unitary * self.eigenvalues) @ self.unitary.conj().T
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.eigenvalues.shape[0]
 
     def verify(self) -> None:
         """Re-check the defining invariants; raise on violation."""
@@ -188,7 +202,7 @@ def random_normal(
 
     ``spectrum_box`` is (re_min, re_max, im_min, im_max).  Deterministic
     given the seed; the unitary comes from a phase-fixed QR factorization,
-    and the matrix is built as U diag(lambda) U*.
+    and the matrix U diag(lambda) U* is formed only when it is read.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -197,4 +211,4 @@ def random_normal(
     x0, x1, y0, y1 = spectrum_box
     lam = rng.uniform(x0, x1, dim) + 1j * rng.uniform(y0, y1, dim)
     u = haar_unitary(dim, rng)
-    return SpectralDecomposition(matrix=(u * lam) @ u.conj().T, unitary=u, eigenvalues=lam)
+    return SpectralDecomposition(unitary=u, eigenvalues=lam)

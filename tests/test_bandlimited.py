@@ -4,6 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import optimize
 
 from opcalc import bandlimited
 from opcalc.bandlimited import (
@@ -301,6 +302,119 @@ class TestSupNorm:
         assert upper - lower <= 2e-3  # cap at 4096 points
 
 
+def _oracle_max(g):
+    """|g| at its located maximizer, to 30 digits: never above ||g||_inf.
+
+    The maximizer is located by Nelder-Mead on a term-by-term numpy sum,
+    started from the eight largest points of a 512-point-per-axis grid, and
+    the value there is summed in mpmath.  A search that missed the peak
+    would return less than the maximum, which can only fail the check on a
+    bracket's lower end, never hide an upper end below the maximum.
+    """
+    keys = list(g.coeffs)
+    freqs = np.array(keys, dtype=float).reshape(len(keys), g.ndim) * g.h
+    amps = np.array([g.coeffs[k] for k in keys])
+
+    def neg_mod(t):
+        return -abs(np.exp(1j * (freqs @ t)) @ amps)
+
+    grid = np.abs(g.grid_values(512))
+    step = 2.0 * math.pi / g.h / 512
+    best = None
+    simplex = np.vstack([np.zeros(g.ndim), step * np.eye(g.ndim)])
+    for flat in np.argsort(grid, axis=None)[-8:]:
+        x0 = np.array(np.unravel_index(flat, grid.shape)) * step
+        res = optimize.minimize(neg_mod, x0, method="Nelder-Mead",
+                                options={"initial_simplex": x0 + simplex, "xatol": 1e-10,
+                                         "fatol": 1e-14, "maxiter": 4000})
+        if best is None or res.fun < best.fun:
+            best = res
+    with mpmath.workdps(30):
+        total = mpmath.mpc(0)
+        for key, c in g.coeffs.items():
+            key = key if isinstance(key, tuple) else (key,)
+            phase = sum(mpmath.mpf(float(k)) * mpmath.mpf(float(t)) for k, t in zip(key, best.x))
+            total += mpmath.mpc(c.real, c.imag) * mpmath.expj(mpmath.mpf(g.h) * phase)
+        return abs(total)
+
+
+def _oracle_cases():
+    """Seeded f of three shapes, each of their dyadic pieces, and a slice of each f."""
+    cases = []
+    for seed in range(3):
+        for sigma, decay in ((4.0, 0.0), (2.0, 1.0), (8.0, 0.0)):
+            f = random_trig_polynomial(sigma, 12, seed=seed, decay=decay)
+            cases.append(f)
+            cases.extend(lp_pieces(f).values())
+            cases.append(slice_x(f, 0.3 + seed))
+    # cos(t - t0) and cos(x - t0) cos(y - t0) peak half a cell off the 32-point
+    # grid, where they fall off at (1-D) or at half (2-D) the bound's rate
+    t0 = math.pi / 32
+    cases.append(TrigSlice(1.0, {1: 0.5 * cmath.exp(-1j * t0), -1: 0.5 * cmath.exp(1j * t0)}))
+    cases.append(TrigPolynomial(1.0, {(j, k): 0.25 * cmath.exp(-1j * (j + k) * t0)
+                                      for j in (1, -1) for k in (1, -1)}))
+    return cases
+
+
+class TestSecondOrderBracket:
+    @pytest.mark.parametrize("g", _oracle_cases(), ids=lambda g: f"{g.ndim}d-{len(g.coeffs)}terms")
+    def test_brackets_contain_the_oracle_max(self, g):
+        truth = _oracle_max(g)
+        # on the 32-point grids the second-order loss q is 0.01 to 0.15
+        if g.ndim == 2:
+            brackets = [sup_norm(g), sup_norm(g, 256), sup_norm(g, 32)]
+        else:
+            brackets = [g.sup_bracket(), g.sup_bracket(512), g.sup_bracket(32)]
+        for lower, upper in brackets:
+            assert lower <= upper
+            assert truth <= upper
+            assert lower <= truth * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_grid_ordering_against_first_order(self, seed):
+        f = random_trig_polynomial(4.0, 12, seed=seed)
+        cases = [(f, f.support_radius, m) for m in (256, 512, 1024)]
+        cases += [(p, p.support_radius, 256) for p in lp_pieces(f).values()]
+        g = slice_y(f, 0.7)
+        cases += [(g, g.type_bound, m) for m in (512, 4096)]
+        for g, sigma, m in cases:
+            old_lower = float(np.abs(g.grid_values(m)).max())
+            eps = sigma * (2.0 * math.pi / g.h / m) * math.sqrt(g.ndim) / 2.0
+            old_upper = old_lower / (1.0 - eps)
+            lower, upper = bandlimited.grid_bracket(g, sigma, m)
+            assert lower == old_lower
+            assert old_lower <= upper <= old_upper
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_auto_width_on_certify_shape(self, seed):
+        lower, upper = sup_norm(random_trig_polynomial(4.0, 12, seed=seed))
+        assert upper - lower <= 1e-6 * lower
+
+    @pytest.mark.parametrize("f", [
+        EXP_IX,
+        TrigPolynomial(1.0, {(1, 0): 1.0, (0, 1): 0.5j}),
+        random_trig_polynomial(4.0, 12, seed=1),
+    ], ids=["one-term", "two-term", "certify-shape"])
+    def test_auto_policy_samples_one_grid(self, monkeypatch, f):
+        calls = []
+        original = TrigPolynomial.grid_values
+
+        def counted(self, m):
+            calls.append(m)
+            return original(self, m)
+
+        monkeypatch.setattr(TrigPolynomial, "grid_values", counted)
+        lower, upper = sup_norm(f)
+        assert calls == [256]
+        assert lower <= upper
+
+    def test_two_term_ridge_is_capped_by_the_coefficient_sum(self):
+        # |e^{ix} + 0.5i e^{iy}| reaches 1.5 along x - y = pi/2, which the 256 grid meets
+        lower, upper = sup_norm(TrigPolynomial(1.0, {(1, 0): 1.0, (0, 1): 0.5j}))
+        assert abs(lower - 1.5) <= 1e-15
+        assert 1.5 <= upper <= 1.5 + 1e-15
+
+
 class TestBesov:
     def test_constant(self):
         assert besov_b1inf1_norm(TrigPolynomial.constant(3.0)) == 0.0
@@ -309,22 +423,22 @@ class TestBesov:
         # |xi| = 1 sits exactly at the n = 0 band: w(1) = 1, all others vanish
         pieces = lp_pieces(EXP_IX)
         assert set(pieces) == {0}
-        total = besov_b1inf1_norm(EXP_IX, refinement=1024)
-        _, upper = sup_norm(EXP_IX, 1024)
+        total = besov_b1inf1_norm(EXP_IX)
+        _, upper = sup_norm(EXP_IX)
         assert abs(total - upper) <= 1e-12
 
     def test_homogeneous(self):
         f = random_trig_polynomial(3.0, 10, seed=11)
-        a = besov_b1inf1_norm(7.5 * f, refinement=512)
-        b = 7.5 * besov_b1inf1_norm(f, refinement=512)
+        a = besov_b1inf1_norm(7.5 * f)
+        b = 7.5 * besov_b1inf1_norm(f)
         assert abs(a - b) <= 1e-12 * b
 
     def test_band_uppers_are_the_piece_uppers_in_band_order(self):
         f = random_trig_polynomial(3.0, 10, seed=11)
         pieces = lp_pieces(f)
-        uppers = band_uppers(f, refinement=512)
+        uppers = band_uppers(f)
         assert list(uppers) == sorted(pieces)
-        assert uppers == {n: sup_norm(p, 512)[1] for n, p in pieces.items()}
+        assert uppers == {n: sup_norm(p)[1] for n, p in pieces.items()}
 
 
 class TestSeminorm:
@@ -396,7 +510,7 @@ class TestOmegaStar:
 class TestJackson:
     def test_smooth_range_is_exact_zero(self):
         om = ModulusOfContinuity.power(1.0)
-        rows = jackson_check(EXP_IX, om, range(0, 4), samples=2000, seed=0, refinement=512)
+        rows = jackson_check(EXP_IX, om, range(0, 4), samples=2000, seed=0)
         for _, lhs, ratio, _, _ in rows:
             assert lhs == 0.0 and ratio == 0.0
 
@@ -408,7 +522,7 @@ class TestJackson:
     def test_exponential_constants_bounded(self):
         # regression pin: measured max ratio is ~0.503 (V_n) and ~1.005 (W_n)
         om = ModulusOfContinuity.power(1.0)
-        rows = jackson_check(EXP_IX, om, range(-4, 5), samples=10000, seed=0, refinement=1024)
+        rows = jackson_check(EXP_IX, om, range(-4, 5), samples=10000, seed=0)
         assert max(r[2] for r in rows) <= 40.0
         assert max(r[4] for r in rows) <= 40.0
 

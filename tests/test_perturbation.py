@@ -119,31 +119,31 @@ class TestCertifiedConstants:
 
     def test_homogeneity(self):
         f = random_trig_polynomial(2.0, 8, seed=5)
-        a = certified_lipschitz_constant(3.5 * f, refinement=512)
-        b = 3.5 * certified_lipschitz_constant(f, refinement=512)
+        a = certified_lipschitz_constant(3.5 * f)
+        b = 3.5 * certified_lipschitz_constant(f)
         assert abs(a - b) <= 1e-12 * b
 
     def test_modulus_bound_saturates_at_tail_split(self):
         f = random_trig_polynomial(2.0, 8, seed=6)
         from opcalc.bandlimited import lp_pieces, sup_norm
 
-        tail_only = 2.0 * sum(sup_norm(p, 512)[1] for p in lp_pieces(f).values())
-        assert certified_modulus_bound(f, 1e9, refinement=512) <= tail_only * (1 + 1e-12)
+        tail_only = 2.0 * sum(sup_norm(p)[1] for p in lp_pieces(f).values())
+        assert certified_modulus_bound(f, 1e9) <= tail_only * (1 + 1e-12)
         # small delta: the Lipschitz branch wins and scales linearly
-        small = certified_modulus_bound(f, 1e-9, refinement=512)
-        lip = certified_lipschitz_constant(f, refinement=512)
+        small = certified_modulus_bound(f, 1e-9)
+        lip = certified_lipschitz_constant(f)
         assert abs(small - 1e-9 * lip) <= 1e-12 * small
 
     def test_monotone_in_delta(self):
         f = random_trig_polynomial(3.0, 10, seed=7)
         deltas = np.geomspace(1e-4, 10, 12)
-        bounds = [certified_modulus_bound(f, d, refinement=512) for d in deltas]
+        bounds = [certified_modulus_bound(f, d) for d in deltas]
         assert all(b1 <= b2 * (1 + 1e-12) for b1, b2 in zip(bounds, bounds[1:]))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_lipschitz_domination_sweep(self, seed):
         f = random_trig_polynomial(2.0, 8, seed=30)
-        lip = certified_lipschitz_constant(f, refinement=512)
+        lip = certified_lipschitz_constant(f)
         rng = np.random.default_rng(seed)
         d1, d2 = coupled_normal_pair(4, 0.1, rng)
         diff = functional_calculus(f, d1) - functional_calculus(f, d2)
@@ -232,14 +232,14 @@ class TestExperiments:
         monkeypatch.setattr(bandlimited, "sup_norm", counted)
         grid = [2.0**-k for k in range(n_deltas)]
         experiment_holder_sweep(f, 0.5, [2], grid, 1, seed=3)
-        assert calls == [512] * len(lp_pieces(f))
+        assert calls == [None] * len(lp_pieces(f))
 
     def test_holder_sweep_certified_column_is_the_modulus_bound(self):
         f = random_trig_polynomial(2.0, 10, seed=12, decay=1.0)
         grid = [2.0**-k for k in range(0, 11, 2)]
         rep = experiment_holder_sweep(f, 0.5, [2], grid, 1, seed=3)
         got = [row[rep.columns.index("certified_bound")] for row in rep.rows]
-        assert got == [certified_modulus_bound(f, d, refinement=512) for d in grid]
+        assert got == [certified_modulus_bound(f, d) for d in grid]
 
     def test_constant_function_rows_vanish(self):
         rep = experiment_holder_sweep(
