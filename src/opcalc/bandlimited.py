@@ -43,19 +43,15 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
 
 
 class CutoffWindow:
-    """Dyadic cutoff pair (w, v).
+    """The dyadic cutoff pair (w, v) of the Littlewood-Paley decomposition.
 
     ``w`` is smooth, nonnegative, supported in [1/2, 2], and satisfies
     w(x) = 1 - w(x/2) on [1, 2], so that sum_n w(x / 2^n) = 1 for x > 0.
     ``v`` equals 1 on [-1, 1] and w(|x|) for |x| >= 1 (low-pass profile).
     """
 
-    def __init__(self, w: Callable[[np.ndarray], np.ndarray] | None = None):
-        self._w = w if w is not None else self._default_w
-
     @staticmethod
-    def _default_w(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def _w(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
         rise = (x >= 0.5) & (x <= 1.0)
         fall = (x > 1.0) & (x <= 2.0)
@@ -289,8 +285,8 @@ class TrigPolynomial:
         return 2.0 * math.pi / self.h
 
     @classmethod
-    def constant(cls, c: complex, h: float = 1.0) -> "TrigPolynomial":
-        return cls(h, {(0, 0): c})
+    def constant(cls, c: complex) -> "TrigPolynomial":
+        return cls(1.0, {(0, 0): c})
 
     def eval(self, x, y):
         """Evaluate on broadcastable real coordinate arrays (see ``_Terms``)."""
@@ -396,14 +392,9 @@ class TrigSlice:
         """Values on the m-point uniform grid over one period (exact via FFT)."""
         return self._terms.grid(m)
 
-    def sup_bracket(self, refinement: int = 4096) -> tuple[float, float]:
-        """Certified (lower, upper) bracket of the sup norm over one period.
-
-        ``grid_bracket`` on the refinement-point grid (r = delta / 2).
-        """
-        if not self.coeffs:
-            return 0.0, 0.0
-        return grid_bracket(self, self.type_bound, int(refinement))
+    def sup_bracket(self) -> tuple[float, float]:
+        """Certified bracket lower <= ||g||_inf <= upper: ``grid_bracket``'s auto policy."""
+        return grid_bracket(self, self.type_bound)
 
 
 def grid_bracket(
@@ -425,9 +416,10 @@ def grid_bracket(
     equality for one term and for two or three terms whose frequencies are
     in general position; every upper is capped by it.
 
-    With an integer m the samples are the m^d grid over one period
+    A constant g (no nonzero frequency) has the bracket (|c|, |c|).  With
+    an integer m the samples are the m^d grid over one period
     (delta = period / m, r = delta sqrt(d) / 2, by FFT), and the lower
-    bound is their maximum of |g|.  With m None (the auto policy) the grid
+    bound is their maximum of |g| less its rounding slack (below).  With m None (the auto policy) the grid
     has 256 points per period, or the least power of two above that on
     which sigma r < sqrt(2), at most 4096.  The maximizer's nearest grid
     point G has |g(G)| >= M (1 - q) >= lower (1 - q), so only grid points
@@ -438,8 +430,9 @@ def grid_bracket(
     1 - q / 4096.  With more candidates (|g| nearly constant, as for pieces
     of one to three terms) the one-grid bracket stands, capped as above.
 
-    Rounding: each maximum of computed values gets a slack added before the
-    division, s = (n + 2T + 8) u sum_k |c_k| (T terms, u = 2^-53).  An FFT
+    Rounding: each maximum of computed values gets a slack s added before
+    the division and subtracted for the lower bound (floored at 0),
+    s = (n + 2T + 8) u sum_k |c_k| (T terms, u = 2^-53).  An FFT
     value passes L = log2(m^d) butterfly stages whose multipliers have
     modulus one, each with relative error eta = mu + gamma_4 (sqrt 2 + mu)
     < 7u for twiddles accurate to mu ~ u (Higham, *Accuracy and Stability
@@ -454,11 +447,14 @@ def grid_bracket(
     one-exponential form is no worse, and n = 24 sum_a (K_a + span_a + 1).
     The 2T term bounds the sum over the terms and the 8 the final sum and
     division (q is inflated by 8u to cover its own rounding).  The cap is
-    inflated by (T + 2) u, and upper is never below lower.
+    inflated by (T + 2) u, and upper is never below the largest computed
+    value (which exceeds the cap only by rounding).
     """
     d = g.ndim
     terms = g._terms
     l1 = float(np.abs(terms.amps).sum())
+    if not terms.freqs.any():
+        return l1, l1
     cap = l1 * (1.0 + (terms.amps.size + 2) * _UNIT_ROUNDOFF)
     auto = m is None
     if auto:
@@ -474,23 +470,25 @@ def grid_bracket(
             f"grid spacing {delta:.3e} too coarse for exponential type {sigma:.3e}"
         )
     mod = np.abs(g.grid_values(m))
-    lower = float(mod.max())
+    top = float(mod.max())
     slack = _rounding_slack(terms, l1, 8.0 * d * math.log2(m))
-    upper = (lower + slack) / (1.0 - q)
+    lower = top - slack
+    upper = (top + slack) / (1.0 - q)
     if auto:
-        cells = np.flatnonzero(mod >= (lower - slack) * (1.0 - q) - slack)
+        cells = np.flatnonzero(mod >= (top - slack) * (1.0 - q) - slack)
         if cells.size <= _MAX_CANDIDATES:
             offsets = (np.arange(_PATCH) + 0.5 - _PATCH / 2.0) * (delta / _PATCH)
-            top = 0.0
+            patch_top = 0.0
             for cell in zip(*np.unravel_index(cells, mod.shape)):
                 # in 2-D a column of x against a row of y: one product in ``_Terms``
                 patch = np.ix_(*(i * delta + offsets for i in cell))
-                top = max(top, float(np.abs(terms(*patch)).max()))
+                patch_top = max(patch_top, float(np.abs(terms(*patch)).max()))
             reach = terms.span + np.abs(terms.freqs).max(axis=0) + 1
             slack = _rounding_slack(terms, l1, 24.0 * float(reach.sum()))
-            lower = max(lower, top)
-            upper = (top + slack) / (1.0 - q / _PATCH**2)
-    return lower, max(lower, min(upper, cap))
+            lower = max(lower, patch_top - slack)
+            upper = (patch_top + slack) / (1.0 - q / _PATCH**2)
+            top = max(top, patch_top)
+    return max(lower, 0.0), max(top, min(upper, cap))
 
 
 def _rounding_slack(terms: _Terms, l1: float, steps: float) -> float:
@@ -547,14 +545,14 @@ def divided_difference(g, a, b, tol, axis: str | None = None, other=None) -> np.
     return vals
 
 
-def lp_piece(f: TrigPolynomial, n: int, win: CutoffWindow = DEFAULT_WINDOW) -> TrigPolynomial:
+def lp_piece(f: TrigPolynomial, n: int) -> TrigPolynomial:
     """Dyadic band piece: coefficients scaled by w(|xi| / 2^n)."""
-    return f.scaled_coeffs(lambda mods: win.w(mods / 2.0**n))
+    return f.scaled_coeffs(lambda mods: DEFAULT_WINDOW.w(mods / 2.0**n))
 
 
-def vp_smooth(f: TrigPolynomial, n: int, win: CutoffWindow = DEFAULT_WINDOW) -> TrigPolynomial:
+def vp_smooth(f: TrigPolynomial, n: int) -> TrigPolynomial:
     """Low-pass smoothing: coefficients scaled by v(|xi| / 2^n)."""
-    return f.scaled_coeffs(lambda mods: win.v(mods / 2.0**n))
+    return f.scaled_coeffs(lambda mods: DEFAULT_WINDOW.v(mods / 2.0**n))
 
 
 def piece_index_range(f: TrigPolynomial) -> range:
@@ -567,46 +565,38 @@ def piece_index_range(f: TrigPolynomial) -> range:
     return range(lo, hi + 1)
 
 
-def lp_pieces(f: TrigPolynomial, win: CutoffWindow = DEFAULT_WINDOW) -> dict[int, TrigPolynomial]:
+def lp_pieces(f: TrigPolynomial) -> dict[int, TrigPolynomial]:
     """All nonzero dyadic pieces of f, keyed by the band index n."""
     pieces = {}
     for n in piece_index_range(f):
-        piece = lp_piece(f, n, win)
+        piece = lp_piece(f, n)
         if piece.coeffs:
             pieces[n] = piece
     return pieces
 
 
-def band_uppers(f: TrigPolynomial, win: CutoffWindow = DEFAULT_WINDOW) -> dict[int, float]:
+def band_uppers(f: TrigPolynomial) -> dict[int, float]:
     """Certified upper ||f_n||_upper of every nonzero dyadic piece, keyed by n.
 
     Keys ascend, so sums over the values keep the band order of ``lp_pieces``.
     """
-    return {n: sup_norm(piece)[1] for n, piece in lp_pieces(f, win).items()}
+    return {n: sup_norm(piece)[1] for n, piece in lp_pieces(f).items()}
 
 
-def sup_norm(f: TrigPolynomial, refinement: int | None = None) -> tuple[float, float]:
+def sup_norm(f: TrigPolynomial) -> tuple[float, float]:
     """Certified bracket lower <= ||f||_inf <= upper.
 
-    ``grid_bracket`` on f's exponential type ``support_radius``: with
-    ``refinement=None`` its auto policy (one FFT grid, then 64 x 64 patches
-    of the few candidate cells, the one-grid bracket above 64 candidates,
-    every upper capped by sum_k |c_k|), otherwise the second-order bracket
-    of the refinement x refinement grid.  A constant has the bracket
-    (|c|, |c|).
+    ``grid_bracket``'s auto policy on f's exponential type ``support_radius``:
+    one FFT grid, then 64 x 64 patches of the few candidate cells, the
+    one-grid bracket above 64 candidates, every upper capped by sum_k |c_k|.
     """
-    if not f.coeffs:
-        return 0.0, 0.0
-    if f.support_radius == 0.0:
-        value = abs(f.coeffs[(0, 0)])
-        return value, value
-    return grid_bracket(f, f.support_radius, None if refinement is None else int(refinement))
+    return grid_bracket(f, f.support_radius)
 
 
-def besov_b1inf1_norm(f: TrigPolynomial, win: CutoffWindow = DEFAULT_WINDOW) -> float:
+def besov_b1inf1_norm(f: TrigPolynomial) -> float:
     """Surrogate B^1_{inf,1} norm: sum_n 2^n * upper bracket of the n-th piece."""
     total = 0.0
-    for n, upper in band_uppers(f, win).items():
+    for n, upper in band_uppers(f).items():
         total += 2.0**n * upper
     return total
 
@@ -653,7 +643,6 @@ def jackson_check(
     f: TrigPolynomial,
     omega: ModulusOfContinuity,
     n_range: Iterable[int],
-    win: CutoffWindow = DEFAULT_WINDOW,
     samples: int = 10000,
     seed: int = 0,
 ) -> list[tuple[int, float, float, float, float]]:
@@ -666,8 +655,8 @@ def jackson_check(
     sem = seminorm_estimate(f, omega, samples, seed)
     rows = []
     for n in n_range:
-        lhs = sup_norm(f - vp_smooth(f, n, win))[1]
-        piece = sup_norm(lp_piece(f, n, win))[1]
+        lhs = sup_norm(f - vp_smooth(f, n))[1]
+        piece = sup_norm(lp_piece(f, n))[1]
         denom = omega(2.0**-n) * sem
         if denom <= 0.0:
             if max(lhs, piece) > 0.0:
@@ -682,13 +671,12 @@ def random_trig_polynomial(
     sigma: float,
     n_terms: int,
     seed: int,
-    radius: int = 4,
     decay: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> TrigPolynomial:
     """Seeded random polynomial with support radius exactly <= sigma.
 
-    Frequencies live on the lattice (sigma/radius) * Z^2 inside the disc of
+    Frequencies live on the lattice (sigma/4) * Z^2 inside the disc of
     radius sigma; amplitudes are complex Gaussian, damped by
     (1 + |(j,k)|)^(-decay) to mimic smoother functions when decay > 0.
     """
@@ -696,6 +684,7 @@ def random_trig_polynomial(
         raise ValueError("sigma must be positive")
     if rng is None:
         rng = np.random.default_rng(seed)
+    radius = 4
     h = sigma / radius
     lattice = [
         (j, k)

@@ -40,7 +40,6 @@ class DoiKernel:
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    provenance: str = "custom"
 
     def __post_init__(self):
         if self.values.shape != (self.rows.size, self.cols.size):
@@ -64,14 +63,13 @@ def divided_difference_kernel(
     axis: str,
     lam: np.ndarray,
     mu: np.ndarray,
-    eps_dd: float | None = None,
 ) -> DoiKernel:
     """Coordinate divided difference of f sampled on eigenvalue pairs.
 
     Axis "x" gives (f(x1, y2) - f(x2, y2))/(x1 - x2); axis "y" gives
     (f(x1, y1) - f(x1, y2))/(y1 - y2).  Where the coordinate gap is at most
-    ``eps_dd`` the entry is the exact partial derivative of f evaluated at
-    the midpoint of the coordinate pair.
+    ``default_coincidence_tol`` of the coordinates the entry is the exact
+    partial derivative of f evaluated at the midpoint of the coordinate pair.
     """
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
@@ -80,12 +78,8 @@ def divided_difference_kernel(
     x1, y1 = lam.real[:, None], lam.imag[:, None]
     x2, y2 = mu.real[None, :], mu.imag[None, :]
     a, b, held = (x1, x2, y2) if axis == "x" else (y1, y2, x1)
-    if eps_dd is None:
-        eps_dd = default_coincidence_tol(a, b)
-    if eps_dd <= 0.0:
-        raise ValueError("eps_dd must be positive")
-    values = divided_difference(f, a, b, eps_dd, axis, held)
-    return DoiKernel(rows=lam, cols=mu, values=values, provenance=f"d{axis}")
+    values = divided_difference(f, a, b, default_coincidence_tol(a, b), axis, held)
+    return DoiKernel(rows=lam, cols=mu, values=values)
 
 
 def doi_apply(
@@ -110,14 +104,12 @@ def difference_via_doi(
     f: TrigPolynomial,
     d1: SpectralDecomposition,
     d2: SpectralDecomposition,
-    eps_dd: float | None = None,
 ) -> np.ndarray:
-    """Right-hand side of the difference identity for f(N1) - f(N2)."""
-    a1, b1 = parts(d1)
-    a2, b2 = parts(d2)
-    ky = divided_difference_kernel(f, "y", d1.eigenvalues, d2.eigenvalues, eps_dd)
-    kx = divided_difference_kernel(f, "x", d1.eigenvalues, d2.eigenvalues, eps_dd)
-    return doi_apply(ky, d1, b1 - b2, d2) + doi_apply(kx, d1, a1 - a2, d2)
+    """Right-hand side of the difference identity for f(N1) - f(N2).
+
+    The R = I case of ``quasicommutator_via_doi`` (products with I are exact).
+    """
+    return quasicommutator_via_doi(f, d1, d2, np.eye(d1.dim, dtype=complex))
 
 
 def quasicommutator_via_doi(
@@ -125,7 +117,6 @@ def quasicommutator_via_doi(
     d1: SpectralDecomposition,
     d2: SpectralDecomposition,
     r: np.ndarray,
-    eps_dd: float | None = None,
 ) -> np.ndarray:
     """Right-hand side of the quasicommutator identity for f(N1) R - R f(N2)."""
     r = np.asarray(r, dtype=complex)
@@ -133,8 +124,8 @@ def quasicommutator_via_doi(
         raise ValueError(f"factor shape {r.shape} incompatible with decompositions")
     a1, b1 = parts(d1)
     a2, b2 = parts(d2)
-    ky = divided_difference_kernel(f, "y", d1.eigenvalues, d2.eigenvalues, eps_dd)
-    kx = divided_difference_kernel(f, "x", d1.eigenvalues, d2.eigenvalues, eps_dd)
+    ky = divided_difference_kernel(f, "y", d1.eigenvalues, d2.eigenvalues)
+    kx = divided_difference_kernel(f, "x", d1.eigenvalues, d2.eigenvalues)
     return doi_apply(ky, d1, b1 @ r - r @ b2, d2) + doi_apply(
         kx, d1, a1 @ r - r @ a2, d2
     )

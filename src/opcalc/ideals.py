@@ -168,13 +168,14 @@ def kyfan_p_norm(t: np.ndarray, p: float, l: int) -> float:
     return schatten_sum(singular_values(t).values[: l + 1], p)
 
 
-def default_test_family(length: int = 512) -> list[SingularSpectrum]:
-    """Closed test family for dilation/Boyd estimates.
+def default_test_family() -> list[SingularSpectrum]:
+    """Closed test family for dilation/Boyd estimates, sequences of length 512.
 
     Geometric tails, power-law tails, and finite-support indicators; the
     supremum of dilation ratios over this family is a certified lower bound
     on the dilation transformer quasinorm.
     """
+    length = 512
     j = np.arange(length, dtype=float)
     family = []
     for r in (0.99, 0.9, 0.5):

@@ -16,8 +16,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bandlimited import (
-    DEFAULT_WINDOW,
-    CutoffWindow,
     ModulusOfContinuity,
     TrigPolynomial,
     TrigSlice,
@@ -95,8 +93,9 @@ class ConvexBody:
     def disc(cls, center, radius) -> "ConvexBody":
         return cls("disc", center=center, radius=radius)
 
-    def contains(self, z, tol: float = 1e-12):
-        """Membership of a point, or elementwise of an array of points."""
+    def contains(self, z):
+        """Membership of a point, or elementwise of an array of points, to 1e-12."""
+        tol = 1e-12
         z = np.asarray(z, dtype=complex)
         if self.kind == "disc":
             inside = np.abs(z - self.center) <= self.radius + tol
@@ -141,10 +140,7 @@ def extend_by_projection(f, body: ConvexBody):
     return lambda zeta: f(project_convex(zeta, body))
 
 
-def certified_lipschitz_constant(
-    f: TrigPolynomial,
-    win: CutoffWindow = DEFAULT_WINDOW,
-) -> float:
+def certified_lipschitz_constant(f: TrigPolynomial) -> float:
     """Certified operator Lipschitz constant of f.
 
     Sums 2 sqrt(3) 2^(n+1) ||f_n||_upper over the dyadic pieces: each band
@@ -153,22 +149,18 @@ def certified_lipschitz_constant(
     dominated by the difference itself.
     """
     total = 0.0
-    for n, upper in band_uppers(f, win).items():
+    for n, upper in band_uppers(f).items():
         total += 2.0 ** (n + 1) * upper
     return 2.0 * _SQRT3 * total
 
 
-def certified_modulus_bound(
-    f: TrigPolynomial,
-    delta: float,
-    win: CutoffWindow = DEFAULT_WINDOW,
-) -> float:
+def certified_modulus_bound(f: TrigPolynomial, delta: float) -> float:
     """Certified upper bound for ||f(N1) - f(N2)|| whenever ||N1 - N2|| <= delta.
 
     Optimizes the split between the Lipschitz estimate on low bands and the
     crude 2 ||f_n||_inf estimate on high bands.
     """
-    return _modulus_bound_from_uppers(band_uppers(f, win), delta)
+    return _modulus_bound_from_uppers(band_uppers(f), delta)
 
 
 def _modulus_bound_from_uppers(uppers: dict[int, float], delta: float) -> float:
@@ -200,7 +192,6 @@ def coupled_normal_pair(
     dim: int,
     delta: float,
     rng: np.random.Generator,
-    box=DEFAULT_BOX,
     rank: int | None = None,
 ) -> tuple[SpectralDecomposition, SpectralDecomposition]:
     """Normal pair sharing an eigenbasis with ||N1 - N2|| = delta.
@@ -210,13 +201,13 @@ def coupled_normal_pair(
     formed matrices differ by delta in operator norm only up to rounding
     (about 1e-16 for entries of order one).
     """
-    d1 = random_normal(dim, box, rng=rng)
+    d1 = random_normal(dim, DEFAULT_BOX, rng=rng)
     lam2 = d1.eigenvalues + delta * _unit_sup_direction(dim, rng, rank)
     return d1, SpectralDecomposition(d1.unitary, lam2)
 
 
-def independent_normal_pair(dim: int, rng: np.random.Generator, box=DEFAULT_BOX):
-    return random_normal(dim, box, rng=rng), random_normal(dim, box, rng=rng)
+def independent_normal_pair(dim: int, rng: np.random.Generator):
+    return random_normal(dim, DEFAULT_BOX, rng=rng), random_normal(dim, DEFAULT_BOX, rng=rng)
 
 
 def trial_draws(seed: int, trials: int, dims: list[int] | None = None, key: tuple = ()):
@@ -238,14 +229,13 @@ def experiment_lipschitz(
     dims: list[int],
     trials: int,
     seed: int,
-    win: CutoffWindow = DEFAULT_WINDOW,
 ) -> ExperimentReport:
     """Operator-norm and trace-norm Lipschitz quotients against the certified constant.
 
     Alternates independent and coupled normal pairs; every quotient must stay
     below the certified constant, in operator norm and in trace norm.
     """
-    lip = certified_lipschitz_constant(f, win)
+    lip = certified_lipschitz_constant(f)
     rep = ExperimentReport(
         "lip-bound",
         seed,
@@ -278,8 +268,6 @@ def experiment_holder_sweep(
     delta_grid: list[float],
     trials: int,
     seed: int,
-    win: CutoffWindow = DEFAULT_WINDOW,
-    box=DEFAULT_BOX,
 ) -> ExperimentReport:
     """Measured vs certified moduli across a grid of perturbation sizes.
 
@@ -298,7 +286,8 @@ def experiment_holder_sweep(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     om_pow = ModulusOfContinuity.power(alpha)
-    diam = math.hypot(box[1] - box[0], box[3] - box[2])
+    x0, x1, y0, y1 = DEFAULT_BOX
+    diam = math.hypot(x1 - x0, y1 - y0)
     om_cap = ModulusOfContinuity.capped_linear(diam)
     rep = ExperimentReport(
         "holder-sweep",
@@ -308,12 +297,12 @@ def experiment_holder_sweep(
         meta={"alpha": alpha, "violations": 0,
               "plot": {"x": "delta", "y": "measured_max_norm", "slope": alpha}},
     )
-    uppers = band_uppers(f, win)
+    uppers = band_uppers(f)
     for grid_idx, delta in enumerate(delta_grid):
         certified = _modulus_bound_from_uppers(uppers, delta)
         measured = 0.0
         for _, dim, rng in trial_draws(seed, trials, dims, (grid_idx,)):
-            d1, d2 = coupled_normal_pair(dim, delta, rng, box)
+            d1, d2 = coupled_normal_pair(dim, delta, rng)
             diff = functional_calculus(f, d1) - functional_calculus(f, d2)
             measured = max(measured, float(np.linalg.norm(diff, 2)))
         if measured > certified * (1.0 + 1e-9):
@@ -391,14 +380,13 @@ def experiment_quasicommutator(
     dims: list[int],
     trials: int,
     seed: int,
-    win: CutoffWindow = DEFAULT_WINDOW,
 ) -> ExperimentReport:
     """Quasicommutator identity residuals and the certified domination.
 
     Rows: (trial, dim, measured, residual, max_quasicomm, certified) where
     certified = L(f) * max(||N1 R - R N2||, ||N1* R - R N2*||).
     """
-    lip = certified_lipschitz_constant(f, win)
+    lip = certified_lipschitz_constant(f)
     rep = ExperimentReport(
         "qc-verify",
         seed,
@@ -490,7 +478,7 @@ def experiment_doi_identity(
     return rep
 
 
-def experiment_sinc_check(trials: int, seed: int, n_terms: int = 1000) -> ExperimentReport:
+def experiment_sinc_check(trials: int, seed: int) -> ExperimentReport:
     """Basis-mass and row-energy checks for the sampling expansion."""
     rep = ExperimentReport(
         "sinc-check",
@@ -498,6 +486,7 @@ def experiment_sinc_check(trials: int, seed: int, n_terms: int = 1000) -> Experi
         ["trial", "sigma", "point", "basis_mass", "energy_ratio"],
         meta={"violations": 0},
     )
+    n_terms = 1000
     ns = np.arange(-n_terms, n_terms + 1)
     for trial, _, rng in trial_draws(seed, trials):
         sigma = float(rng.uniform(0.5, 4.0))

@@ -23,6 +23,10 @@ from .bandlimited import TrigPolynomial, TrigSlice, divided_difference
 from .errors import QuadratureError
 
 DEFAULT_TERMS = 2000
+# The quadratures integrate a core of 50 half-periods pi / sigma on each side
+# of their centre to absolute tolerance _QUAD_TOL; the tails are closed-form.
+_QUAD_TOL = 1e-8
+_HALF_PERIODS = 50.0
 
 
 def _coincidence_tol(x):
@@ -99,8 +103,6 @@ def row_energy_integral(
     fslice: TrigSlice,
     sigma: float,
     x: float,
-    quad_tol: float = 1e-8,
-    half_width: float | None = None,
 ) -> tuple[float, float]:
     """(1/(pi*sigma)) * integral of |f(x) - f(t)|^2 / (x - t)^2 dt over R.
 
@@ -108,8 +110,7 @@ def row_energy_integral(
     component of |f(x) - f(t)|^2 is integrated in closed form and the
     oscillating remainder is folded into the reported error bound.
     """
-    if half_width is None:
-        half_width = 50.0 * math.pi / sigma
+    half_width = _HALF_PERIODS * math.pi / sigma
     lo, hi = x - half_width, x + half_width
     fx = complex(fslice.eval(x))
     xs, tol = np.array([x], dtype=float), _coincidence_tol(x)
@@ -117,9 +118,9 @@ def row_energy_integral(
     def integrand(t):
         return abs(divided_difference(fslice, xs, np.array([t]), tol)[0]) ** 2
 
-    core, core_err = quad(integrand, lo, hi, points=[x], epsabs=quad_tol, limit=400)
-    if core_err > max(10.0 * quad_tol, 1e-12 * abs(core)):
-        raise QuadratureError(core_err, quad_tol)
+    core, core_err = quad(integrand, lo, hi, points=[x], epsabs=_QUAD_TOL, limit=400)
+    if core_err > max(10.0 * _QUAD_TOL, 1e-12 * abs(core)):
+        raise QuadratureError(core_err, _QUAD_TOL)
     # |f(x) - f(t)|^2 = |f(x)|^2 - 2 Re(conj(f(x)) f(t)) + |f(t)|^2;
     # its mean value over t drives the 1/t^2 tails.
     amps = fslice.coeffs
@@ -148,8 +149,6 @@ def reproducing_integral(
     sigma: float,
     x: float,
     y: float,
-    quad_tol: float = 1e-8,
-    half_width: float | None = None,
 ) -> tuple[float | complex, float]:
     """(1/pi) * integral of (f(x)-f(t))/(x-t) * sin(sigma(y-t))/(y-t) dt.
 
@@ -160,8 +159,7 @@ def reproducing_integral(
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
-    if half_width is None:
-        half_width = 50.0 * math.pi / sigma
+    half_width = _HALF_PERIODS * math.pi / sigma
     c = (x + y) / 2.0
     lo, hi = c - half_width, c + half_width
     xs, tol = np.array([x], dtype=float), _coincidence_tol(x)
@@ -173,9 +171,9 @@ def reproducing_integral(
         return dd * kern
 
     pts = sorted({min(max(x, lo), hi), min(max(y, lo), hi)})
-    core, core_err = _quad_complex(integrand, lo, hi, pts, quad_tol)
-    if core_err > max(10.0 * quad_tol, 1e-12 * abs(core)):
-        raise QuadratureError(core_err, quad_tol)
+    core, core_err = _quad_complex(integrand, lo, hi, pts, _QUAD_TOL)
+    if core_err > max(10.0 * _QUAD_TOL, 1e-12 * abs(core)):
+        raise QuadratureError(core_err, _QUAD_TOL)
     fx = complex(fslice.eval(x))
     # numerator (f(x) - f(t)) sin(sigma(y - t)) expanded in frequencies of t:
     # only amplitudes of f exactly at the band edge produce a mean component.
@@ -211,22 +209,19 @@ def reproducing_integral(
     return value, err
 
 
-def sinc_mass_integral(
-    sigma: float, y: float, quad_tol: float = 1e-8, half_width: float | None = None
-) -> tuple[float, float]:
+def sinc_mass_integral(sigma: float, y: float) -> tuple[float, float]:
     """(1/(pi*sigma)) * integral of sin^2(sigma(y-t))/(y-t)^2 dt (equals 1).
 
     The mean value 1/2 of sin^2 is integrated in closed form over the tails.
     """
-    if half_width is None:
-        half_width = 50.0 * math.pi / sigma
+    half_width = _HALF_PERIODS * math.pi / sigma
     lo, hi = y - half_width, y + half_width
 
     def integrand(t):
         u = y - t
         return (sigma * np.sinc(sigma * u / math.pi)) ** 2
 
-    core, core_err = quad(integrand, lo, hi, points=[y], epsabs=quad_tol, limit=400)
+    core, core_err = quad(integrand, lo, hi, points=[y], epsabs=_QUAD_TOL, limit=400)
     tails = 0.5 * _tail_kernel_sq(y, lo, hi)
     edge_sq = 1.0 / (hi - y) ** 2 + 1.0 / (y - lo) ** 2
     osc = 2.0 * 0.5 / (2.0 * sigma) * edge_sq

@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import IllSeparatedSpectrumError, NotNormalError
 
-DEFAULT_NORMALITY_TOL = 1e-8
-
+_NORMALITY_TOL = 1e-8
 _UNITARY_TOL = 1e-10
 _RECON_TOL = 1e-9
 _COMMUTE_TOL = 1e-9
@@ -123,20 +122,19 @@ def _clusters(values: np.ndarray, radius: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def diagonalize(
-    n: np.ndarray, tol: float = DEFAULT_NORMALITY_TOL
-) -> SpectralDecomposition:
+def diagonalize(n: np.ndarray) -> SpectralDecomposition:
     """Simultaneously diagonalize the commuting Hermitian parts of N.
 
     Stage one diagonalizes A = Re N; within each eigenvalue cluster of A the
     compressed B = Im N is diagonalized, and residual near-ties in B are
     cleaned up by a third compression of A.  Eigenvalues of A within one
-    cluster (radius 1e-8 * (1 + spread)) are treated as equal.
+    cluster (radius 1e-8 * (1 + spread)) are treated as equal.  N must be
+    normal to 1e-8 (``normality_defect``), else ``NotNormalError``.
     """
     n = np.asarray(n, dtype=complex)
     defect = normality_defect(n)
-    if defect > tol:
-        raise NotNormalError(defect, tol)
+    if defect > _NORMALITY_TOL:
+        raise NotNormalError(defect, _NORMALITY_TOL)
     a, b = parts(n)
     avals, u = np.linalg.eigh(a)
     spread = float(avals[-1] - avals[0]) if len(avals) > 1 else 0.0

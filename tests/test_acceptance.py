@@ -10,12 +10,12 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
+from opcalc import bandlimited
 from opcalc.bandlimited import (
     ModulusOfContinuity,
     TrigSlice,
     omega_star,
     random_trig_polynomial,
-    sup_norm,
 )
 from opcalc.cli import RunConfig, report_to_csv, run
 from opcalc.doi import (
@@ -137,7 +137,7 @@ def test_criterion_4_haagerup_bound():
         mu = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
         axis = "x" if trial % 2 == 0 else "y"
         a, b, upper = haagerup_factorization(f, axis, lam, mu, 2000)
-        sup_upper = sup_norm(f, 2048)[1]
+        sup_upper = bandlimited.grid_bracket(f, f.support_radius, 2048)[1]
         worst_ratio = max(
             worst_ratio, upper / (math.sqrt(3.0) * f.support_radius * sup_upper)
         )

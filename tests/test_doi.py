@@ -60,7 +60,7 @@ class TestDividedDifferenceKernel:
         z = 0.4 + 0.3j
         lam = np.array([z])
         mu = np.array([z + 1e-12])
-        k = divided_difference_kernel(f, "x", lam, mu, eps_dd=1e-7)
+        k = divided_difference_kernel(f, "x", lam, mu)
         from opcalc.bandlimited import partial_derivative
 
         dx = partial_derivative(f, "x")
@@ -70,7 +70,7 @@ class TestDividedDifferenceKernel:
         f = random_trig_polynomial(3.0, 10, seed=4)
         lam = np.array([0.4 + 0.3j, -0.2 + 0.9j])
         mu = np.array([-0.5 + (0.3 + 1e-12) * 1j, 0.1 - 0.7j])
-        k = divided_difference_kernel(f, "y", lam, mu)  # default eps_dd >> 1e-12
+        k = divided_difference_kernel(f, "y", lam, mu)  # default tolerance >> 1e-12
         dy = partial_derivative(f, "y")
         want = dy.eval(0.4, (0.3 + mu[0].imag) / 2)
         # the quotient itself would lose ~4 of its 16 digits to cancellation

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from opcalc.bandlimited import TrigSlice, random_trig_polynomial, slice_x, slice_y, sup_norm
+from opcalc import bandlimited
+from opcalc.bandlimited import TrigSlice, random_trig_polynomial, slice_x, slice_y
 from opcalc.doi import divided_difference_kernel, schur_norm_bracket
 from opcalc.sinc import (
     expansion_tail_bound,
@@ -184,7 +185,7 @@ class TestHaagerup:
         mu = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
         a, b, upper = haagerup_factorization(f, axis, lam, mu, 2000)
         kern = divided_difference_kernel(f, axis, lam, mu)
-        sup_upper = sup_norm(f, 1024)[1]
+        sup_upper = bandlimited.grid_bracket(f, f.support_radius, 1024)[1]
         coord = 2.0 * f.support_radius  # spectra live inside |z| <= 2
         tail = expansion_tail_bound(sup_upper, f.support_radius, coord, coord, 2000)
         assert np.abs(a @ b.T - kern.values).max() <= tail
@@ -197,7 +198,7 @@ class TestHaagerup:
         mu = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
         axis = "x" if seed % 2 == 0 else "y"
         _, _, upper = haagerup_factorization(f, axis, lam, mu, 2000)
-        sup_upper = sup_norm(f, 2048)[1]
+        sup_upper = bandlimited.grid_bracket(f, f.support_radius, 2048)[1]
         assert upper <= math.sqrt(3.0) * f.support_radius * sup_upper * 1.01
 
     def test_feeds_schur_bracket(self):
@@ -208,7 +209,8 @@ class TestHaagerup:
         a, b, upper = haagerup_factorization(f, "x", lam, mu, 2000)
         kern = divided_difference_kernel(f, "x", lam, mu)
         tail = expansion_tail_bound(
-            sup_norm(f, 1024)[1], f.support_radius, 2 * f.support_radius, 2 * f.support_radius, 2000
+            bandlimited.grid_bracket(f, f.support_radius, 1024)[1], f.support_radius,
+            2 * f.support_radius, 2 * f.support_radius, 2000
         )
         lower, up = schur_norm_bracket(kern, (a, b), trials=10, seed=0, factorization_tol=tail)
         assert lower <= up + 1e-8
