@@ -8,7 +8,6 @@ exact coefficientwise operations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -337,21 +336,6 @@ class TrigPolynomial:
             {key: self.coeffs[key] * float(fac) for key, fac in zip(keys, factors)},
         )
 
-    def to_json(self) -> str:
-        entries = [
-            {"j": j, "k": k, "re": c.real, "im": c.imag}
-            for (j, k), c in sorted(self.coeffs.items())
-        ]
-        return json.dumps({"h": self.h, "coeffs": entries})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrigPolynomial":
-        data = json.loads(text)
-        coeffs = {
-            (e["j"], e["k"]): complex(e["re"], e["im"]) for e in data["coeffs"]
-        }
-        return cls(data["h"], coeffs)
-
 
 class TrigSlice:
     """One-variable trig polynomial g(t) = sum c_m exp(i h m t).
@@ -494,6 +478,19 @@ def grid_bracket(
 def _rounding_slack(terms: _Terms, l1: float, steps: float) -> float:
     """(steps + 2T + 8) u sum_k |c_k|: the rounding of one computed value (see ``grid_bracket``)."""
     return (steps + 2.0 * terms.amps.size + 8.0) * _UNIT_ROUNDOFF * l1
+
+
+def _value_slack(f: TrigPolynomial, radius: float) -> float:
+    """Bound on |computed f(z) - f(z)| for |z| <= radius, by either form of ``_Terms``.
+
+    As for ``grid_bracket``'s patches, with phases h t up to h radius: a table
+    row is accurate to 2 reach_a (h radius + 3) u, one exponential per term to
+    4 u h radius sum_a K_a; doubling covers second-order terms.
+    """
+    terms = f._terms
+    reach = terms.span + np.abs(terms.freqs).max(axis=0) + 1
+    steps = 4.0 * (terms.h * radius + 3.0) * float(reach.sum())
+    return _rounding_slack(terms, float(np.abs(terms.amps).sum()), steps)
 
 
 def slice_x(f: TrigPolynomial, y0: float) -> TrigSlice:

@@ -52,8 +52,10 @@ _CHECKS = (
      f"an integer in [0, {MAX_TRIALS}]"),
     ("sigma", _positive, "a positive finite number"),
     ("alpha", lambda v: _is_real(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
-    ("p", _list_of(lambda v: _is_real(v) and v > 0.0),
-     "a nonempty list of exponents > 0 (inf allowed)"),
+    # finite p the suites evaluate: Boyd estimates raise sums of <= 1024 values in (0, 1]
+    # to 1/p (finite for p > 10/1024), averaging checks values below 9.3e19 to p <= 15
+    ("p", _list_of(lambda v: _is_real(v) and (0.01 <= v <= 15.0 or v == math.inf)),
+     "a nonempty list of exponents in [0.01, 15] or inf"),
     ("delta_grid", _list_of(_positive), "a nonempty list of positive finite numbers"),
     ("out", lambda v: v is None or isinstance(v, str), "a path prefix string"),
     ("tol", _positive, "a positive finite number"),

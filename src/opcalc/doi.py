@@ -14,7 +14,6 @@ holds exactly, and more generally with a bounded factor R,
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -47,15 +46,6 @@ class DoiKernel:
                 f"kernel shape {self.values.shape} does not match "
                 f"{self.rows.size} x {self.cols.size} spectra"
             )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("j,k,re,im\n")
-        for j in range(self.rows.size):
-            for k in range(self.cols.size):
-                z = self.values[j, k]
-                buf.write(f"{j},{k},{z.real!r},{z.imag!r}\n")
-        return buf.getvalue()
 
 
 def divided_difference_kernel(

@@ -8,7 +8,6 @@ below one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,14 +37,6 @@ class SingularSpectrum:
         out = np.zeros(length)
         out[: min(length, len(self))] = self.values[:length]
         return out
-
-    def to_csv(self) -> str:
-        return "\n".join(repr(float(v)) for v in self.values) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "SingularSpectrum":
-        vals = [float(line) for line in text.strip().splitlines() if line.strip()]
-        return cls(np.array(vals))
 
 
 @dataclass(frozen=True)
@@ -98,32 +89,6 @@ class IdealSpec:
         if self.variant == "PowerScale":
             return self.base.psi(s**self.p) ** (1.0 / self.p)
         raise ValueError(f"unknown variant {self.variant!r}")
-
-    def to_json(self) -> str:
-        def enc(spec):
-            out = {"variant": spec.variant}
-            if spec.variant in ("Sp", "SpWeak", "PowerScale"):
-                out["p"] = spec.p
-            if spec.variant == "TruncHead":
-                out["l"] = spec.l
-            if spec.base is not None:
-                out["base"] = enc(spec.base)
-            return out
-
-        return json.dumps(enc(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "IdealSpec":
-        def dec(obj):
-            base = dec(obj["base"]) if "base" in obj else None
-            return cls(
-                obj["variant"],
-                p=float(obj.get("p", 0.0)),
-                l=int(obj.get("l", 0)),
-                base=base,
-            )
-
-        return dec(json.loads(text))
 
 
 def singular_values(t: np.ndarray) -> SingularSpectrum:

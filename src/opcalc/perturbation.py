@@ -9,6 +9,7 @@ asserted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -16,9 +17,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bandlimited import (
+    _UNIT_ROUNDOFF,
     ModulusOfContinuity,
     TrigPolynomial,
     TrigSlice,
+    _value_slack,
     band_uppers,
     omega_star,
     random_trig_polynomial,
@@ -36,7 +39,7 @@ from .ideals import (
 from .sinc import row_energy, sinc_basis
 from .spectral import SpectralDecomposition, functional_calculus, random_normal
 
-_SQRT3 = math.sqrt(3.0)
+_SQRT3 = math.nextafter(math.sqrt(3.0), math.inf)  # >= sqrt(3), as sqrt rounds correctly
 
 DEFAULT_BOX = (-1.0, 1.0, -1.0, 1.0)
 
@@ -140,25 +143,35 @@ def extend_by_projection(f, body: ConvexBody):
     return lambda zeta: f(project_convex(zeta, body))
 
 
+def _up(x: float) -> float:
+    """The next double above x: an upper bound on the exact result that rounded to x."""
+    return math.nextafter(x, math.inf)
+
+
+def _sum_up(values) -> float:
+    """Upper bound on the exact sum of nonnegative doubles: each partial sum rounded up."""
+    return functools.reduce(lambda total, v: _up(total + v), values, 0.0)
+
+
 def certified_lipschitz_constant(f: TrigPolynomial) -> float:
     """Certified operator Lipschitz constant of f.
 
     Sums 2 sqrt(3) 2^(n+1) ||f_n||_upper over the dyadic pieces: each band
     has multiplier norm at most sqrt(3) * 2^(n+1) * ||f_n||_inf per
     coordinate kernel, and both Hermitian parts of the difference are
-    dominated by the difference itself.
+    dominated by the difference itself.  Sums and products are rounded up
+    (scalings by powers of two are exact), so floating point never lowers it.
     """
-    total = 0.0
-    for n, upper in band_uppers(f).items():
-        total += 2.0 ** (n + 1) * upper
-    return 2.0 * _SQRT3 * total
+    total = _sum_up(2.0 ** (n + 1) * upper for n, upper in band_uppers(f).items())
+    return _up(2.0 * _SQRT3 * total) if total else 0.0  # no pieces: f is constant
 
 
 def certified_modulus_bound(f: TrigPolynomial, delta: float) -> float:
     """Certified upper bound for ||f(N1) - f(N2)|| whenever ||N1 - N2|| <= delta.
 
     Optimizes the split between the Lipschitz estimate on low bands and the
-    crude 2 ||f_n||_inf estimate on high bands.
+    crude 2 ||f_n||_inf estimate on high bands, rounded up as
+    ``certified_lipschitz_constant`` is.
     """
     return _modulus_bound_from_uppers(band_uppers(f), delta)
 
@@ -170,12 +183,47 @@ def _modulus_bound_from_uppers(uppers: dict[int, float], delta: float) -> float:
     if not uppers:
         return 0.0
     ns = list(uppers)
+    slope = _up(delta * 2.0 * _SQRT3)
     best = math.inf
     for split in range(len(ns) + 1):
-        head = sum(2.0 ** (n + 1) * uppers[n] for n in ns[:split])
-        tail = sum(uppers[n] for n in ns[split:])
-        best = min(best, delta * 2.0 * _SQRT3 * head + 2.0 * tail)
+        head = _sum_up(2.0 ** (n + 1) * uppers[n] for n in ns[:split])
+        tail = _sum_up(uppers[n] for n in ns[split:])
+        best = min(best, _up(_up(slope * head) + 2.0 * tail))
     return best
+
+
+def _slack(x: np.ndarray, f: TrigPolynomial | None, d1: SpectralDecomposition,
+           d2: SpectralDecomposition, scale: float = 1.0) -> float:
+    """Bound on |computed norm of x - exact norm|, operator or trace norm.
+
+    x is the computed g(N1) - g(N2), or g(N1) R - R g(N2) with ||R||_F = scale (g = f, or
+    the identity for f None), g(N) formed as (U * g(lambda)) @ U*.  Exact means for the normal
+    Q diag(lambda) Q*, Q the unitary polar factor of U, to which the certified bounds apply.
+    Proof (u = 2^-53; j u stands for gamma_j <= 1.01 j u): complex products and inner
+    products of length n err by sqrt(2) 2u and sqrt(2) (n + 2) u of the sum of their moduli
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, sec. 3.6),
+    so with V = max |g| + e (e = ``_value_slack``) and k = ||U||_F^2, forming g(N) errs by
+    <= 2 (n + 4) u V k in Frobenius norm, twice that covering the product by R once scaled.
+    Exact g moves it by <= k e.  U = Q H gives ||U - Q||_F = ||H - I||_F <= ||U* U - I||_F
+    <= eta (the computed value plus sqrt(2) (n + 2) u k), so U D U* - Q D Q* =
+    (U - Q) D U* + Q D (U - Q)* is at most eta (2 + eta) V.  The subtraction adds
+    u ||x||_F.  LAPACK's SVD returns the singular values of x + E, ||E||_2 <= p(n) u ||x||_2
+    (LAPACK Users' Guide, 3rd ed., sec. 4.9; p(n) taken as 16 n^2, Higham 2002, ch. 19),
+    each moved by <= ||E||_2 (Weyl), and the trace norm's sum adds n u.  With err the sum
+    of the two Frobenius bounds, both norms are within sqrt(n) err scale +
+    n (17 n^2 + 1) u ||x||_F; the factor 2 covers the 1.01 and this bound's own rounding.
+    """
+    n, u = x.shape[0], _UNIT_ROUNDOFF
+    radius = float(max(np.abs(d1.eigenvalues).max(), np.abs(d2.eigenvalues).max()))
+    e = 0.0 if f is None else _value_slack(f, radius)
+    err = 0.0
+    for d in (d1, d2):
+        k = float(np.linalg.norm(d.unitary)) ** 2
+        defect = d.unitary.conj().T @ d.unitary - np.eye(n)
+        eta = float(np.linalg.norm(defect)) + math.sqrt(2.0) * (n + 2) * u * k
+        top = float(np.abs(d.eigenvalues if f is None else f(d.eigenvalues)).max()) + e
+        err += top * (4.0 * (n + 4) * u * k + eta * (2.0 + eta)) + k * e
+    return 2.0 * (math.sqrt(n) * err * scale + n * (17 * n * n + 1) * u * float(np.linalg.norm(x)))
 
 
 def _unit_sup_direction(dim: int, rng: np.random.Generator, rank: int | None = None):
@@ -233,7 +281,10 @@ def experiment_lipschitz(
     """Operator-norm and trace-norm Lipschitz quotients against the certified constant.
 
     Alternates independent and coupled normal pairs; every quotient must stay
-    below the certified constant, in operator norm and in trace norm.
+    below the certified constant, in operator norm and in trace norm.  A
+    quotient A / B above L (1 + 1e-9) is a violation only if
+    A - E_A > L (1 + 1e-9) (B + E_B), with the rounding bounds E_A, E_B of
+    ``_slack``, computed only after that plain test fails.
     """
     lip = certified_lipschitz_constant(f)
     rep = ExperimentReport(
@@ -253,10 +304,15 @@ def experiment_lipschitz(
         delta_s1 = schatten_norm(dn, 1.0)
         if delta_op < 1e-14:
             continue
-        q_op = float(np.linalg.norm(diff, 2)) / delta_op
-        q_s1 = schatten_norm(diff, 1.0) / delta_s1
+        num_op = float(np.linalg.norm(diff, 2))
+        num_s1 = schatten_norm(diff, 1.0)
+        q_op = num_op / delta_op
+        q_s1 = num_s1 / delta_s1
         if max(q_op, q_s1) > lip * (1.0 + 1e-9):
-            rep.meta["violations"] += 1
+            slack_a, slack_b = _slack(diff, f, d1, d2), _slack(dn, None, d1, d2)
+            if any(a - slack_a > lip * (1.0 + 1e-9) * (b + slack_b)
+                   for a, b in ((num_op, delta_op), (num_s1, delta_s1))):
+                rep.meta["violations"] += 1
         rep.add(trial, dim, delta_op, q_op, q_s1, lip)
     return rep
 
@@ -281,7 +337,12 @@ def experiment_holder_sweep(
     different deltas therefore come from different matrices and need not
     follow a log-log slope <= 1 from one grid point to the next.  What is
     promised is measured_max_norm <= certified_bound at every delta.
-    The band uppers of f are certified once and serve every delta.
+    The band uppers of f are certified once and serve every delta.  A
+    trial's norm above certified (1 + 1e-9) is a violation only if norm - E >
+    certified max(1, D / delta) (1 + 1e-9), E its ``_slack``, computed only
+    after that plain test fails: the exact pair lies D = max |lambda2 - lambda1|
+    <= (1 + 4u) (computed D) apart, where each split a delta + b of the bound
+    (a, b >= 0) grows at most D / delta-fold.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -301,12 +362,17 @@ def experiment_holder_sweep(
     for grid_idx, delta in enumerate(delta_grid):
         certified = _modulus_bound_from_uppers(uppers, delta)
         measured = 0.0
+        violated = False
         for _, dim, rng in trial_draws(seed, trials, dims, (grid_idx,)):
             d1, d2 = coupled_normal_pair(dim, delta, rng)
             diff = functional_calculus(f, d1) - functional_calculus(f, d2)
-            measured = max(measured, float(np.linalg.norm(diff, 2)))
-        if measured > certified * (1.0 + 1e-9):
-            rep.meta["violations"] += 1
+            norm = float(np.linalg.norm(diff, 2))
+            measured = max(measured, norm)
+            if norm > certified * (1.0 + 1e-9) and not violated:
+                shift = float(np.abs(d2.eigenvalues - d1.eigenvalues).max()) / delta
+                stretch = max(1.0, shift * (1.0 + 4.0 * _UNIT_ROUNDOFF))
+                violated = norm - _slack(diff, f, d1, d2) > certified * stretch * (1.0 + 1e-9)
+        rep.meta["violations"] += int(violated)
         rep.add(
             delta, measured, delta**alpha, omega_star(om_pow, delta),
             certified, omega_star(om_cap, min(delta, diam)),
@@ -384,7 +450,10 @@ def experiment_quasicommutator(
     """Quasicommutator identity residuals and the certified domination.
 
     Rows: (trial, dim, measured, residual, max_quasicomm, certified) where
-    certified = L(f) * max(||N1 R - R N2||, ||N1* R - R N2*||).
+    certified = L(f) * max(||N1 R - R N2||, ||N1* R - R N2*||).  measured
+    above certified (1 + 1e-9) is a violation only if measured - E_m >
+    L (1 + 1e-9) (max_quasicomm + E_q), with the rounding bounds E_m, E_q of
+    ``_slack``, computed only after that plain test fails.
     """
     lip = certified_lipschitz_constant(f)
     rep = ExperimentReport(
@@ -400,14 +469,17 @@ def experiment_quasicommutator(
         rhs = quasicommutator_via_doi(f, d1, d2, r)
         scale = 1.0 + float(np.linalg.norm(lhs))
         residual = float(np.linalg.norm(lhs - rhs))
-        qc = max(
-            float(np.linalg.norm(d1.matrix @ r - r @ d2.matrix, 2)),
-            float(np.linalg.norm(d1.matrix.conj().T @ r - r @ d2.matrix.conj().T, 2)),
-        )
+        n1, n2 = d1.matrix, d2.matrix
+        quasi = (n1 @ r - r @ n2, n1.conj().T @ r - r @ n2.conj().T)
+        qc = max(float(np.linalg.norm(x, 2)) for x in quasi)
         measured = float(np.linalg.norm(lhs, 2))
         certified = lip * qc
-        if residual > 1e-9 * scale or measured > certified * (1.0 + 1e-9):
-            rep.meta["violations"] += 1
+        violated = residual > 1e-9 * scale
+        if measured > certified * (1.0 + 1e-9):
+            r_fro = float(np.linalg.norm(r))
+            room = lip * (1.0 + 1e-9) * (qc + max(_slack(x, None, d1, d2, r_fro) for x in quasi))
+            violated |= measured - _slack(lhs, f, d1, d2, r_fro) > room
+        rep.meta["violations"] += int(violated)
         rep.add(trial, dim, measured, residual, qc, certified)
     return rep
 

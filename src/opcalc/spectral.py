@@ -7,7 +7,6 @@ reconstruction, and commuting Hermitian parts.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 import numpy as np
@@ -63,33 +62,6 @@ class SpectralDecomposition:
         comm = np.linalg.norm(a @ b - b @ a)
         if comm > _COMMUTE_TOL * max(np.linalg.norm(self.matrix) ** 2, 1e-300):
             raise NotNormalError(comm, _COMMUTE_TOL)
-
-    def to_json(self) -> str:
-        def mat(m):
-            return [[[z.real, z.imag] for z in row] for row in m]
-
-        return json.dumps(
-            {
-                "matrix": mat(self.matrix),
-                "unitary": mat(self.unitary),
-                "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectralDecomposition":
-        data = json.loads(text)
-
-        def mat(rows):
-            return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-        dec = cls(
-            matrix=mat(data["matrix"]),
-            unitary=mat(data["unitary"]),
-            eigenvalues=np.array([complex(re, im) for re, im in data["eigenvalues"]]),
-        )
-        dec.verify()
-        return dec
 
 
 def normality_defect(m: np.ndarray) -> float:

@@ -1,8 +1,9 @@
-"""Census of the library's optional parameters.
+"""Census of the library's public surface and its optional parameters.
 
 Every public function and method of the six library modules is listed with
 its defaulted parameters.  A parameter that only ever takes one value is a
-constant, not an option, so the count is pinned: adding a knob means
+constant, not an option, and a callable that only its own test calls is
+not needed, so both counts are pinned: adding a knob or an API means
 changing this file on purpose.
 """
 
@@ -10,6 +11,7 @@ import importlib
 import inspect
 
 MODULES = ("bandlimited", "doi", "sinc", "spectral", "ideals", "perturbation")
+PUBLIC_CALLABLES = 98
 DEFAULTED_PARAMETERS = 38
 # parameters that would let a caller replace the one window, the divided-difference
 # rule, the bracket policy, the quadrature settings or the suites' spectrum box
@@ -60,3 +62,8 @@ def test_defaulted_parameter_count_is_pinned():
     total = sum(len(params) for params in census.values())
     listing = {k: v for k, v in census.items() if v}
     assert total == DEFAULTED_PARAMETERS, listing
+
+
+def test_public_callable_count_is_pinned():
+    names = sorted(qualname for qualname, _ in _public_callables())
+    assert len(names) == PUBLIC_CALLABLES, names

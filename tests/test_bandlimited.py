@@ -577,11 +577,6 @@ class TestSlices:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        f = random_trig_polynomial(4.0, 15, seed=23)
-        g = TrigPolynomial.from_json(f.to_json())
-        assert g.h == f.h and g.coeffs == f.coeffs
-
     def test_immutability(self):
         with pytest.raises(AttributeError):
             EXP_IX.h = 2.0

@@ -73,6 +73,21 @@ class TestRun:
         monkeypatch.setattr(perturbation, "experiment_sinc_check", lambda *a, **k: stub)
         assert run(RunConfig("sinc-check", trials=1)) is stub
 
+    @pytest.mark.parametrize("eid, values, measured, certified", [
+        ("lip-bound", {"sigma": 1e-16}, "quotient_op", "certified"),
+        ("qc-verify", {"sigma": 1e-16}, "measured", "certified"),
+        ("holder-sweep", {"sigma": 1e-14}, "measured_max_norm", "certified_bound"),
+        ("holder-sweep", {"sigma": 1e-3, "delta_grid": [1e-15]}, "measured_max_norm",
+         "certified_bound"),
+    ])
+    def test_rounding_is_not_a_violation(self, eid, values, measured, certified):
+        # f nearly constant, or delta below an ulp of the spectrum: the
+        # measured norm is rounding, above a certified bound near zero
+        rep = run(RunConfig(eid, dims=[2, 4, 8], trials=20, **values))
+        mi, ci = rep.columns.index(measured), rep.columns.index(certified)
+        assert any(r[mi] > r[ci] for r in rep.rows)
+        assert rep.violations == 0
+
     def test_documented_example(self):
         rep = run(RunConfig("doi-verify", seed=1, dims=[4], sigma=2.0, trials=5))
         assert len(rep.rows) == 5
@@ -341,6 +356,28 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("opcalc: error: ") and "Traceback" not in err
         assert not os.path.exists(prefix + ".csv")
+
+    @pytest.mark.parametrize("eid", ["ideals-boyd", "fuglede-ratio", "schatten-decay"])
+    @pytest.mark.parametrize("p", ["1e-300", "0.0099", "15.5", "1e300"])
+    def test_p_the_suites_cannot_evaluate(self, tmp_path, capsys, eid, p):
+        prefix = str(tmp_path / "out")
+        assert main([eid, "--p", p, "--trials", "2", "--out", prefix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opcalc: error: p must be") and "Traceback" not in err
+        assert not os.path.exists(prefix + ".csv")
+
+    @pytest.mark.parametrize("eid", ["ideals-boyd", "fuglede-ratio", "schatten-decay"])
+    @pytest.mark.parametrize("p", ["0.01", "15"])
+    def test_p_range_ends_run(self, tmp_path, eid, p):
+        prefix = str(tmp_path / "out")
+        argv = [eid, "--p", p, "--dims", "2,64", "--trials", "200" if eid == "ideals-boyd" else "2"]
+        assert main(argv + ["--out", prefix]) == 0
+        with open(prefix + ".csv", encoding="utf-8") as fh:
+            header, *lines = fh.read().splitlines()
+        # avg_bound is NaN where no averaging constant is certified (p <= 1)
+        keep = [i for i, name in enumerate(header.split(",")) if name != "avg_bound"]
+        values = [float(line.split(",")[i]) for line in lines for i in keep]
+        assert values and all(math.isfinite(v) for v in values)
 
     def test_empty_sweep_skips_svg(self, tmp_path, capsys):
         prefix = str(tmp_path / "sweep")

@@ -272,14 +272,3 @@ class TestKyFanHolder:
         with pytest.raises(ValueError):
             kyfan_holder_check(np.eye(2, dtype=complex), np.eye(2, dtype=complex), 2.0, 2.0, 1.5, 1)
 
-
-class TestSerialization:
-    def test_spec_json_round_trip(self):
-        spec = IdealSpec.power_scale(0.5, IdealSpec.trunc_head(3, IdealSpec.weak(1.5)))
-        again = IdealSpec.from_json(spec.to_json())
-        assert again == spec
-
-    def test_spectrum_csv_round_trip(self):
-        s = spectrum(2.5, 1.0, 0.125)
-        again = SingularSpectrum.from_csv(s.to_csv())
-        assert np.array_equal(again.values, s.values)

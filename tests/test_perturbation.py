@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from opcalc import bandlimited
-from opcalc.bandlimited import TrigPolynomial, lp_pieces, random_trig_polynomial
+from opcalc import bandlimited, perturbation
+from opcalc.bandlimited import TrigPolynomial, band_uppers, lp_pieces, random_trig_polynomial
 from opcalc.perturbation import (
     ConvexBody,
     ExperimentReport,
@@ -139,6 +140,24 @@ class TestCertifiedConstants:
         deltas = np.geomspace(1e-4, 10, 12)
         bounds = [certified_modulus_bound(f, d) for d in deltas]
         assert all(b1 <= b2 * (1 + 1e-12) for b1, b2 in zip(bounds, bounds[1:]))
+
+    def test_assembly_is_rounded_up(self):
+        # the same formulas from the same band uppers at 50 digits
+        for seed in range(40):
+            f = random_trig_polynomial(8.0, 12, seed=seed)
+            uppers = band_uppers(f)
+            ns = list(uppers)
+            with mpmath.workdps(50):
+                two_sqrt3 = 2 * mpmath.sqrt(3)
+                lip = two_sqrt3 * mpmath.fsum(mpmath.mpf(2) ** (n + 1) * uppers[n] for n in ns)
+                modulus = min(
+                    mpmath.mpf(0.01) * two_sqrt3
+                    * mpmath.fsum(mpmath.mpf(2) ** (n + 1) * uppers[n] for n in ns[:split])
+                    + 2 * mpmath.fsum(uppers[n] for n in ns[split:])
+                    for split in range(len(ns) + 1)
+                )
+                assert certified_lipschitz_constant(f) >= lip, seed
+                assert perturbation._modulus_bound_from_uppers(uppers, 0.01) >= modulus, seed
 
     @pytest.mark.parametrize("seed", range(30))
     def test_lipschitz_domination_sweep(self, seed):
@@ -300,3 +319,24 @@ class TestExperiments:
         y = n.conj().T @ r - r @ n.conj().T
         for p in (1.0, 2.0, float("inf")):
             assert abs(schatten_norm(y, p) / schatten_norm(x, p) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("suite", ["lip-bound", "qc-verify", "holder-sweep"])
+    def test_rounding_rule_keeps_real_violations(self, monkeypatch, suite):
+        # bounds 66 times too small: every row above them is a violation, whatever the rounding
+        f = random_trig_polynomial(4.0, 12, seed=1005)
+        lip = certified_lipschitz_constant(f) / 66.0
+        monkeypatch.setattr(perturbation, "certified_lipschitz_constant", lambda g: lip)
+        tight = perturbation._modulus_bound_from_uppers
+        monkeypatch.setattr(perturbation, "_modulus_bound_from_uppers",
+                            lambda uppers, d: tight(uppers, d) / 66.0)
+        if suite == "lip-bound":
+            rep = experiment_lipschitz(f, [2, 5, 8], 60, seed=1005)
+            over = [max(r[3], r[4]) > r[5] * (1 + 1e-9) for r in rep.rows]
+        elif suite == "qc-verify":
+            rep = experiment_quasicommutator(f, [2, 5, 8], 60, seed=1005)
+            over = [r[2] > r[5] * (1 + 1e-9) for r in rep.rows]
+        else:
+            rep = experiment_holder_sweep(f, 0.5, [2, 5, 8], [2.0**-k for k in range(11)], 6,
+                                          seed=1005)
+            over = [r[1] > r[4] * (1 + 1e-9) for r in rep.rows]
+        assert rep.violations == sum(over) > 0

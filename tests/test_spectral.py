@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opcalc.bandlimited import random_trig_polynomial
-from opcalc.errors import NotNormalError
+from opcalc.errors import IllSeparatedSpectrumError, NotNormalError
 from opcalc.spectral import (
     SpectralDecomposition,
     diagonalize,
@@ -180,15 +180,10 @@ class TestParts:
         assert np.linalg.norm(a + 1j * b - dec.matrix) <= 1e-13 * (1 + n_norm)
 
 
-class TestSerialization:
-    def test_round_trip_reverifies(self):
-        dec = random_normal(5, seed=3)
-        loaded = SpectralDecomposition.from_json(dec.to_json())
-        assert np.abs(loaded.matrix - dec.matrix).max() <= 1e-15
-        assert np.abs(loaded.eigenvalues - dec.eigenvalues).max() <= 1e-15
-
-    def test_tampered_payload_rejected(self):
+class TestVerify:
+    def test_non_unitary_basis_rejected(self):
         dec = random_normal(4, seed=3)
-        text = dec.to_json().replace('"unitary": [[[', '"unitary": [[[9e9, ', 1)
-        with pytest.raises(Exception):
-            SpectralDecomposition.from_json(text)
+        bad_u = dec.unitary.copy()
+        bad_u[0, 0] += 9e9
+        with pytest.raises(IllSeparatedSpectrumError):
+            SpectralDecomposition(bad_u, dec.eigenvalues).verify()
