@@ -26,6 +26,7 @@ _MAX_GRID = 4096
 _PATCH = 64
 _MAX_CANDIDATES = 64
 _UNIT_ROUNDOFF = 2.0**-53
+_TINY = np.finfo(float).tiny
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -157,11 +158,11 @@ _POWERS_PER_TERM = 16
 _BLOCK_POINTS = 1024
 
 
-def _phase_powers(h: float, t: np.ndarray, lo: int, count: int) -> np.ndarray:
+def _phase_powers(h: float, t: np.ndarray, lo: float, count: int) -> np.ndarray:
     """exp(i h k t) for k = lo, ..., lo + count - 1 as a (count, t.size) table.
 
     Two exponentials per point; each further row is the previous one times
-    e^{iht}, so row r is accurate to about r ulps.
+    e^{iht}, so row r is accurate to about r ulps.  lo need not be an integer.
     """
     t = t.ravel()
     tab = np.empty((count, t.size), dtype=complex)
@@ -181,7 +182,7 @@ class _Terms:
     ``grid`` samples it by FFT.
     """
 
-    __slots__ = ("h", "freqs", "amps", "lo", "span", "_hfreqs")
+    __slots__ = ("h", "freqs", "amps", "lo", "span", "_hfreqs", "_dd_cache")
 
     def __init__(self, h: float, coeffs: dict, d: int):
         freqs = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), d)
@@ -193,6 +194,7 @@ class _Terms:
             arr.flags.writeable = False
         self.h, self.freqs, self.amps, self.lo, self.span = h, freqs, amps, lo, span
         self._hfreqs = hfreqs
+        self._dd_cache = {}
 
     def __call__(self, *coords) -> np.ndarray:
         """The sum at broadcast real coordinates t = coords, as a complex array of their shape.
@@ -242,6 +244,22 @@ class _Terms:
         if len(coords) == 2:
             phases *= self._powers(1, coords[1])
         return self.amps @ phases
+
+    def dd_tables(self, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ih S, j + 1/2, ih (j + 1/2)) for ``divided_difference`` along one axis, built once.
+
+        j runs over min(k, 0) <= j < max(k, 0) for the frequencies k on the
+        axis; S[j, term] is 1 if 0 <= j < k, -1 if k <= j < 0, else 0.
+        """
+        tables = self._dd_cache.get(axis)
+        if tables is None:
+            k = self.freqs[:, axis]
+            j = np.arange(min(k.min(initial=0), 0), max(k.max(initial=0), 0))[:, None]
+            signs = np.where(j >= 0, k > j, -1.0 * (k <= j))
+            half = j[:, 0] + 0.5
+            tables = (1j * self.h * signs, half, 1j * self.h * half)
+            self._dd_cache[axis] = tables
+        return tables
 
     def grid(self, m: int) -> np.ndarray:
         """Values on the m^d uniform grid over one period (exact via FFT)."""
@@ -518,28 +536,62 @@ def partial_derivative(f: TrigPolynomial, axis: str) -> TrigPolynomial:
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def divided_difference(g, a, b, tol, axis: str | None = None, other=None) -> np.ndarray:
-    """(g(a) - g(b)) / (a - b) for g along one coordinate.
+def divided_difference(g, a, b, axis: str | None = None, other=None) -> np.ndarray:
+    """(g(a) - g(b)) / (a - b) for g along one coordinate, by one formula exact at a = b.
 
     g is a ``TrigSlice`` (axis None), or a ``TrigPolynomial`` whose ``axis``
     coordinate takes the values a and b while the other one is held at
-    ``other``.  Where |a - b| <= tol the entry is instead the exact
-    derivative along that coordinate at the midpoint (a + b)/2, evaluated at
-    those entries only.  a, b, tol and other are broadcastable arrays.
-    """
-    def at(t, held):
-        return (t,) if axis is None else (t, held) if axis == "x" else (held, t)
+    ``other``; a, b and other are broadcastable arrays.  Along the axis g is
+    sum_k c_k e^{ihkt} (the held coordinate's phase folds into c_k).  With
+    z = e^{ih(a - b)}, e^{ihka} - e^{ihkb} = e^{ihkb} (z - 1) sum_m s z^m
+    (m = 0..k-1 and s = 1 for k > 0, m = k..-1 and s = -1 for k < 0), and
+    (z - 1)/(a - b) = ih e^{ih(a - b)/2} sinc(h(a - b)/2), sinc(x) = sin(x)/x.
+    Grouped by j = k - m - 1, every entry is
 
-    den = a - b
-    near = np.abs(den) <= tol
-    vals = (g.eval(*at(a, other)) - g.eval(*at(b, other))) / np.where(near, 1.0, den)
-    if np.any(near):
-        near = np.broadcast_to(near, vals.shape)
-        mid = np.broadcast_to((a + b) / 2.0, vals.shape)[near]
-        held = None if axis is None else np.broadcast_to(other, vals.shape)[near]
-        deriv = g.derivative() if axis is None else partial_derivative(g, axis)
-        vals[near] = deriv.eval(*at(mid, held))
-    return vals
+        ih sinc(h(a - b)/2) sum_j P_j(a) e^{-ih(j + 1/2) a} e^{ih(j + 1/2) b},
+
+    P_j the sum of the terms c_k e^{ihka} with k > j >= 0, or minus those
+    with k <= j < 0.  Nothing nearly equal is subtracted, so every entry is
+    accurate to rounding at every gap, and a = b gives the derivative.  The
+    formula is symmetric in a and b, so the partial sums go on the held
+    coordinate's side; a column against a row is one matrix product.
+    """
+    terms = g._terms
+    ax = 1 if axis == "y" else 0
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    held = None if axis is None else np.asarray(other, dtype=float)
+    if held is not None:
+        if held.shape == b.shape != a.shape:
+            a, b = b, a
+        if held.shape != a.shape:
+            a, held = np.broadcast_arrays(a, held)
+    ndim = max(a.ndim, b.ndim)
+    if a.ndim != b.ndim:
+        a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
+        b = b.reshape((1,) * (ndim - b.ndim) + b.shape)
+    ih_signs, half, ihalf = terms.dd_tables(ax)
+    theta = np.multiply.outer(terms._hfreqs[ax], a.ravel())
+    if held is not None:
+        theta += np.multiply.outer(terms._hfreqs[1 - ax], held.ravel())
+    rows = ih_signs @ (np.exp(1j * theta) * terms.amps[:, None])
+    rows /= np.exp(np.multiply.outer(ihalf, a.ravel()))
+    if b.size * half.size <= _ONE_SHOT_ENTRIES:
+        cols = np.exp(np.multiply.outer(ihalf, b.ravel()))
+    else:
+        cols = _phase_powers(terms.h, b, half[0], half.size)
+    # sinc is even: |ha/2 - hb/2| floored at the least normal double gives 1 at a = b;
+    # scaling before the subtraction rounds no worse than the phases themselves
+    x = np.maximum(np.abs((0.5 * terms.h) * a - (0.5 * terms.h) * b), _TINY)
+    sinc = np.sin(x)
+    sinc /= x
+    if a.size == 1 or b.size == 1 or (ndim == 2 and a.shape[1] == b.shape[0] == 1):
+        total = (rows.T @ cols).reshape(x.shape)
+    elif ndim == 2 and a.shape[0] == b.shape[1] == 1:
+        total = cols.T @ rows
+    else:
+        total = (rows.reshape(half.shape + a.shape) * cols.reshape(half.shape + b.shape)).sum(axis=0)
+    total *= sinc
+    return total
 
 
 def lp_piece(f: TrigPolynomial, n: int) -> TrigPolynomial:

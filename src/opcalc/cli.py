@@ -25,6 +25,8 @@ EXPERIMENTS = tuple(SUITES)
 
 MAX_DIM = 64
 MAX_TRIALS = 10**6
+# the least p whose Boyd sums stay finite: 32768^(1/p) = 2^(15/p) < 2^1024 for p > 15/1024
+_P_MIN = 15.0 / 1024.0
 
 
 def _is_int(v) -> bool:
@@ -52,10 +54,10 @@ _CHECKS = (
      f"an integer in [0, {MAX_TRIALS}]"),
     ("sigma", _positive, "a positive finite number"),
     ("alpha", lambda v: _is_real(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
-    # finite p the suites evaluate: Boyd estimates raise sums of <= 1024 values in (0, 1]
-    # to 1/p (finite for p > 10/1024), averaging checks values below 9.3e19 to p <= 15
-    ("p", _list_of(lambda v: _is_real(v) and (0.01 <= v <= 15.0 or v == math.inf)),
-     "a nonempty list of exponents in [0.01, 15] or inf"),
+    # finite p the suites evaluate: Boyd estimates raise sums of <= 32768 values in (0, 1]
+    # (512-long spectra dilated 64-fold) to 1/p, averaging checks values below 9.3e19 to p <= 15
+    ("p", _list_of(lambda v: _is_real(v) and (_P_MIN < v <= 15.0 or v == math.inf)),
+     f"a nonempty list of exponents in ({_P_MIN}, 15] or inf"),
     ("delta_grid", _list_of(_positive), "a nonempty list of positive finite numbers"),
     ("out", lambda v: v is None or isinstance(v, str), "a path prefix string"),
     ("tol", _positive, "a positive finite number"),

@@ -24,14 +24,6 @@ from .errors import FactorizationError
 from .spectral import SpectralDecomposition, parts
 
 
-def default_coincidence_tol(coords1: np.ndarray, coords2: np.ndarray) -> float:
-    """Gap below which divided differences switch to exact derivatives."""
-    spread = float(
-        max(coords1.max(), coords2.max()) - min(coords1.min(), coords2.min())
-    )
-    return 1e-7 * (1.0 + spread)
-
-
 @dataclass(frozen=True)
 class DoiKernel:
     """Kernel sampled on spectral pairs: values[j, k] = Phi(rows[j], cols[k])."""
@@ -57,9 +49,8 @@ def divided_difference_kernel(
     """Coordinate divided difference of f sampled on eigenvalue pairs.
 
     Axis "x" gives (f(x1, y2) - f(x2, y2))/(x1 - x2); axis "y" gives
-    (f(x1, y1) - f(x1, y2))/(y1 - y2).  Where the coordinate gap is at most
-    ``default_coincidence_tol`` of the coordinates the entry is the exact
-    partial derivative of f evaluated at the midpoint of the coordinate pair.
+    (f(x1, y1) - f(x1, y2))/(y1 - y2), by ``divided_difference``'s one
+    formula, which gives the partial derivative where the coordinates agree.
     """
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
@@ -68,7 +59,7 @@ def divided_difference_kernel(
     x1, y1 = lam.real[:, None], lam.imag[:, None]
     x2, y2 = mu.real[None, :], mu.imag[None, :]
     a, b, held = (x1, x2, y2) if axis == "x" else (y1, y2, x1)
-    values = divided_difference(f, a, b, default_coincidence_tol(a, b), axis, held)
+    values = divided_difference(f, a, b, axis, held)
     return DoiKernel(rows=lam, cols=mu, values=values)
 
 

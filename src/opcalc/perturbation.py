@@ -429,12 +429,13 @@ def experiment_schatten_decay(
             rep.add(trial, dim, j, s_diff[j], env, sig[j], s_pow)
             if env > 0.0:
                 c_decay = max(c_decay, s_diff[j] / (sem * env))
+            # normalized by sem before the powers, which small alpha makes huge
             if sig[j] > 0.0:
-                c_major = max(c_major, s_pow / (sem ** (1.0 / alpha) * sig[j]))
-            pow_head += s_pow**p
+                c_major = max(c_major, (s_diff[j] / sem) ** (1.0 / alpha) / sig[j])
+            pow_head += (s_diff[j] / sem) ** (p / alpha)
             pow_diff += s_dn[j] ** p
             if pow_diff > 0.0:
-                c_head = max(c_head, pow_head / (sem ** (p / alpha) * pow_diff))
+                c_head = max(c_head, pow_head / pow_diff)
     rep.meta["c_decay"] = c_decay
     rep.meta["c_majorization"] = c_major
     rep.meta["c_head_sum"] = c_head

@@ -29,11 +29,6 @@ _QUAD_TOL = 1e-8
 _HALF_PERIODS = 50.0
 
 
-def _coincidence_tol(x):
-    """Gap to x (float or array) below which sampled divided differences use the derivative."""
-    return 1e-8 * (1.0 + abs(x))
-
-
 def sinc_basis(sigma: float, n, y):
     """sin(sigma*y)/(sigma*y - pi*n) with the removable singularity filled in."""
     if sigma <= 0.0:
@@ -66,7 +61,7 @@ def reconstruct_dd(
         raise ValueError("sigma must be positive")
     ns = np.arange(-n_terms, n_terms + 1)
     t = math.pi * ns / sigma
-    dd = divided_difference(fslice, np.array([x], dtype=float), t, _coincidence_tol(x))
+    dd = divided_difference(fslice, x, t)
     value = complex(np.sum(dd * np.sinc((sigma * y - math.pi * ns) / math.pi)))
     tail = expansion_tail_bound(
         fslice.sup_bracket()[1], sigma, sigma * x, sigma * y, n_terms
@@ -84,13 +79,20 @@ def row_energy(
         raise ValueError("sigma must be positive")
     ns = np.arange(-n_terms, n_terms + 1)
     t = math.pi * ns / sigma
-    dd = divided_difference(fslice, np.array([x], dtype=float), t, _coincidence_tol(x))
+    dd = divided_difference(fslice, x, t)
     return float(np.sum(np.abs(dd) ** 2)) / sigma**2
 
 
-def _tail_kernel_sq(x: float, lo: float, hi: float) -> float:
-    """Integral of (t - x)^(-2) over the two tails outside [lo, hi]."""
-    return 1.0 / (hi - x) + 1.0 / (x - lo)
+def _tail_kernel(x: float, y: float, lo: float, hi: float) -> float:
+    """Integral of 1/((t - x)(t - y)) over the two tails outside [lo, hi], lo < x, y < hi.
+
+    With d = x - y it is [log1p(d/(hi - x)) + log1p(d/(y - lo))]/d, which
+    log1p keeps accurate at every d != 0; at d = 0 it is 1/(hi - x) + 1/(x - lo).
+    """
+    d = x - y
+    if d == 0.0:
+        return 1.0 / (hi - x) + 1.0 / (x - lo)
+    return (math.log1p(d / (hi - x)) + math.log1p(d / (y - lo))) / d
 
 
 def _quad_complex(fn, lo, hi, points, tol):
@@ -113,10 +115,9 @@ def row_energy_integral(
     half_width = _HALF_PERIODS * math.pi / sigma
     lo, hi = x - half_width, x + half_width
     fx = complex(fslice.eval(x))
-    xs, tol = np.array([x], dtype=float), _coincidence_tol(x)
 
     def integrand(t):
-        return abs(divided_difference(fslice, xs, np.array([t]), tol)[0]) ** 2
+        return abs(divided_difference(fslice, x, t)) ** 2
 
     core, core_err = quad(integrand, lo, hi, points=[x], epsabs=_QUAD_TOL, limit=400)
     if core_err > max(10.0 * _QUAD_TOL, 1e-12 * abs(core)):
@@ -126,7 +127,7 @@ def row_energy_integral(
     amps = fslice.coeffs
     dc = abs(fx) ** 2 + sum(abs(c) ** 2 for c in amps.values())
     dc -= 2.0 * (fx.conjugate() * amps.get(0, 0.0)).real
-    tails = _tail_kernel_sq(x, lo, hi)
+    tails = _tail_kernel(x, x, lo, hi)
     # oscillating terms bounded via integration by parts: 2 * amp * g(edge) / |w|
     edge_sq = 1.0 / (hi - x) ** 2 + 1.0 / (x - lo) ** 2
     osc = 0.0
@@ -162,10 +163,9 @@ def reproducing_integral(
     half_width = _HALF_PERIODS * math.pi / sigma
     c = (x + y) / 2.0
     lo, hi = c - half_width, c + half_width
-    xs, tol = np.array([x], dtype=float), _coincidence_tol(x)
 
     def integrand(t):
-        dd = divided_difference(fslice, xs, np.array([t]), tol)[0]
+        dd = divided_difference(fslice, x, t)
         u = y - t
         kern = sigma * np.sinc(sigma * u / math.pi)
         return dd * kern
@@ -191,13 +191,7 @@ def reproducing_integral(
                 dc += term
             else:
                 osc_terms.append((w + shift, term))
-    if abs(x - y) > 1e-9 * (1.0 + abs(x) + abs(y)):
-        # closed form of the two-sided tail of 1/((t-x)(t-y))
-        tails = (
-            math.log((hi - y) / (hi - x)) + math.log((x - lo) / (y - lo))
-        ) / (x - y)
-    else:
-        tails = _tail_kernel_sq(c, lo, hi)
+    tails = _tail_kernel(x, y, lo, hi)
     edge = max(hi - max(x, y), 1e-300)
     edge_l = max(min(x, y) - lo, 1e-300)
     edge_sq = 1.0 / edge**2 + 1.0 / edge_l**2
@@ -222,7 +216,7 @@ def sinc_mass_integral(sigma: float, y: float) -> tuple[float, float]:
         return (sigma * np.sinc(sigma * u / math.pi)) ** 2
 
     core, core_err = quad(integrand, lo, hi, points=[y], epsabs=_QUAD_TOL, limit=400)
-    tails = 0.5 * _tail_kernel_sq(y, lo, hi)
+    tails = 0.5 * _tail_kernel(y, y, lo, hi)
     edge_sq = 1.0 / (hi - y) ** 2 + 1.0 / (y - lo) ** 2
     osc = 2.0 * 0.5 / (2.0 * sigma) * edge_sq
     return (core + tails) / (math.pi * sigma), (core_err + osc) / (math.pi * sigma)
@@ -263,9 +257,7 @@ def haagerup_factorization(
     # row r: divided differences at t of the slice of f through dd_pts[r]
     # along the axis; the slices' values at t are one product of phase tables
     x = coord(dd_pts)[:, None]
-    dd = (-1.0) ** ns * divided_difference(
-        f, x, t[None, :], _coincidence_tol(x), axis, held(dd_pts)[:, None]
-    )
+    dd = (-1.0) ** ns * divided_difference(f, x, t[None, :], axis, held(dd_pts)[:, None])
     a, b = (basis, dd) if axis == "x" else (dd, basis)
     row_a = math.sqrt(float(np.max(np.sum(np.abs(a) ** 2, axis=1))))
     row_b = math.sqrt(float(np.max(np.sum(np.abs(b) ** 2, axis=1))))

@@ -14,6 +14,7 @@ from opcalc.bandlimited import (
     TrigSlice,
     band_uppers,
     besov_b1inf1_norm,
+    divided_difference,
     jackson_check,
     lp_piece,
     lp_pieces,
@@ -222,6 +223,66 @@ class TestPartialDerivative:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             partial_derivative(EXP_IX, "z")
+
+
+def _dd_oracle(terms, h, a, b):
+    """(g(a) - g(b))/(a - b) in 50 digits at the doubles a, b, and g'(a) at a = b.
+
+    g(t) = sum c e^{ihkt} over the (k, c) pairs of ``terms``, c an mpmath number.
+    """
+    with mpmath.workdps(50):
+        h, a, b = mpmath.mpf(h), mpmath.mpf(a), mpmath.mpf(b)
+        if a == b:
+            total = sum(c * 1j * h * k * mpmath.expj(h * k * a) for k, c in terms)
+        else:
+            total = sum(c * (mpmath.expj(h * k * a) - mpmath.expj(h * k * b)) for k, c in terms)
+            total /= a - b
+        return complex(total)
+
+
+def _axis_terms(f, axis, held):
+    """f along one axis with the other coordinate held: (k, c_k) with the held phase folded in."""
+    with mpmath.workdps(50):
+        out = []
+        for (j, k), c in f.coeffs.items():
+            along, other = (j, k) if axis == "x" else (k, j)
+            phase = mpmath.expj(mpmath.mpf(f.h) * other * mpmath.mpf(held))
+            out.append((along, mpmath.mpc(c.real, c.imag) * phase))
+        return out
+
+
+class TestDividedDifference:
+    """``divided_difference`` against a 50-digit oracle, from wide gaps down to coincidence."""
+
+    F = random_trig_polynomial(8.0, 12, seed=5)
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-3, 1e-5, 5e-7, 1e-9, 0.0])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("held_side", ["rows", "cols"])
+    def test_plane_matches_oracle(self, gap, axis, held_side):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-2.0, 2.0, 5)
+        b = a + gap  # the diagonal has the gap under test, the rest random gaps
+        held = rng.uniform(-2.0, 2.0, 5)
+        held_2d = held[:, None] if held_side == "rows" else held[None, :]
+        got = divided_difference(self.F, a[:, None], b[None, :], axis, held_2d)
+        along = [_axis_terms(self.F, axis, v) for v in held]
+        for i, j in np.ndindex(got.shape):
+            want = _dd_oracle(along[i if held_side == "rows" else j], self.F.h, a[i], b[j])
+            assert abs(got[i, j] - want) <= 1e-14 * max(abs(want), 1.0), (i, j)
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-3, 1e-5, 5e-7, 1e-9, 0.0])
+    def test_slice_matches_oracle(self, gap):
+        g = slice_x(self.F, 0.3)
+        rng = np.random.default_rng(8)
+        a = rng.uniform(-2.0, 2.0, 8)
+        b = a + gap
+        got = divided_difference(g, a, b)
+        with mpmath.workdps(50):
+            terms = [(k, mpmath.mpc(c.real, c.imag)) for k, c in g.coeffs.items()]
+        for i in range(a.size):
+            want = _dd_oracle(terms, g.h, a[i], b[i])
+            assert abs(got[i] - want) <= 1e-14 * max(abs(want), 1.0), i
 
 
 class TestDyadicPieces:

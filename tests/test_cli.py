@@ -268,6 +268,18 @@ class TestMain:
         assert os.path.exists(prefix + ".json")
         assert "0 violations" in capsys.readouterr().out
 
+    def test_schatten_decay_at_small_alpha(self, tmp_path):
+        # (1/alpha)-th and (p/alpha)-th powers of the seminorm estimate (4.59)
+        # are far above the double range; the constants take powers of ratios
+        prefix = str(tmp_path / "decay")
+        argv = ["schatten-decay", "--p", "15", "--alpha", "0.005", "--dims", "4",
+                "--trials", "3", "--out", prefix]
+        assert main(argv) == 0
+        with open(prefix + ".json", encoding="utf-8") as fh:
+            meta = json.load(fh)["meta"]
+        for key in ("c_decay", "c_majorization", "c_head_sum"):
+            assert isinstance(meta[key], float) and math.isfinite(meta[key])
+
     def test_violation_exit_one(self, tmp_path):
         prefix = str(tmp_path / "bad")
         code = main(["doi-verify", "--seed", "1", "--dims", "4", "--trials", "3",
@@ -358,7 +370,7 @@ class TestUsageErrors:
         assert not os.path.exists(prefix + ".csv")
 
     @pytest.mark.parametrize("eid", ["ideals-boyd", "fuglede-ratio", "schatten-decay"])
-    @pytest.mark.parametrize("p", ["1e-300", "0.0099", "15.5", "1e300"])
+    @pytest.mark.parametrize("p", ["1e-300", "0.0099", "0.0146", "15.5", "1e300"])
     def test_p_the_suites_cannot_evaluate(self, tmp_path, capsys, eid, p):
         prefix = str(tmp_path / "out")
         assert main([eid, "--p", p, "--trials", "2", "--out", prefix]) == 2
@@ -367,7 +379,7 @@ class TestUsageErrors:
         assert not os.path.exists(prefix + ".csv")
 
     @pytest.mark.parametrize("eid", ["ideals-boyd", "fuglede-ratio", "schatten-decay"])
-    @pytest.mark.parametrize("p", ["0.01", "15"])
+    @pytest.mark.parametrize("p", ["0.01465", "15"])
     def test_p_range_ends_run(self, tmp_path, eid, p):
         prefix = str(tmp_path / "out")
         argv = [eid, "--p", p, "--dims", "2,64", "--trials", "200" if eid == "ideals-boyd" else "2"]

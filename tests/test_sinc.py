@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from opcalc import bandlimited
 from opcalc.bandlimited import TrigSlice, random_trig_polynomial, slice_x, slice_y
 from opcalc.doi import divided_difference_kernel, schur_norm_bracket
 from opcalc.sinc import (
+    _tail_kernel,
     expansion_tail_bound,
     haagerup_factorization,
     reconstruct_dd,
@@ -147,6 +149,22 @@ class TestReproducingIntegral:
         direct = (math.sin(s * x) - math.sin(s * y)) / (x - y)
         assert abs(value - direct) <= 1e-6
         assert abs(value - direct) <= err + 1e-12
+
+    @pytest.mark.parametrize("d", [2e-9, -2e-9, 0.0, 0.7])
+    def test_tail_kernel_matches_mpmath(self, d):
+        # the closed-form tails of reproducing_integral at x - y = d, sigma = 1
+        x = 0.3
+        y = x - d
+        c, half_width = (x + y) / 2.0, 50.0 * math.pi
+        lo, hi = c - half_width, c + half_width
+        got = _tail_kernel(x, y, lo, hi)
+        with mpmath.workdps(50):
+            x, y, lo, hi = (mpmath.mpf(v) for v in (x, y, lo, hi))
+            if x == y:
+                want = 1 / (hi - x) + 1 / (x - lo)
+            else:
+                want = (mpmath.log((hi - y) / (hi - x)) + mpmath.log((x - lo) / (y - lo))) / (x - y)
+            assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_mass_integral_is_one(self):
         for sigma, y in ((1.0, 0.0), (2.5, 1.3), (0.7, -4.0)):
