@@ -43,7 +43,6 @@ from .ideals import (
     dilate_spectrum,
     kyfan_holder_check,
     majorization_le,
-    psi_norm,
     sigma_averages,
     singular_values,
 )

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_BLOCK = 1024  # rows of the averaging stream scored at once; bounds its memory
+
 
 @dataclass(frozen=True)
 class SingularSpectrum:
@@ -77,17 +79,22 @@ class IdealSpec:
             raise ValueError("p must be positive")
         return cls("PowerScale", p=float(p), base=base)
 
-    def psi(self, values: np.ndarray) -> float:
-        s = np.asarray(values, dtype=float)
+    def psi(self, values: np.ndarray) -> float | np.ndarray:
+        """Psi over the last axis: a float for one spectrum, an array for a stack.
+
+        numpy's power rounds by memory layout: powers of a contiguous copy and
+        roots taken one by one give a spectrum the same Psi alone or in a stack.
+        """
+        s = np.ascontiguousarray(values, dtype=float)
         if self.variant == "Sp":
             return schatten_sum(s, self.p)
         if self.variant == "SpWeak":
-            j = np.arange(1, s.size + 1, dtype=float)
-            return float(np.max(j * s**self.p) ** (1.0 / self.p))
+            j = np.arange(1, s.shape[-1] + 1, dtype=float)
+            return _root(np.max(j * s**self.p, axis=-1), self.p)
         if self.variant == "TruncHead":
-            return self.base.psi(s[: self.l + 1])
+            return self.base.psi(s[..., : self.l + 1])
         if self.variant == "PowerScale":
-            return self.base.psi(s**self.p) ** (1.0 / self.p)
+            return _root(self.base.psi(s**self.p), self.p)
         raise ValueError(f"unknown variant {self.variant!r}")
 
 
@@ -97,15 +104,9 @@ def singular_values(t: np.ndarray) -> SingularSpectrum:
     return SingularSpectrum(np.linalg.svd(t, compute_uv=False))
 
 
-def sigma_averages(s: SingularSpectrum) -> np.ndarray:
-    """Cesaro averages sigma_n = (s_0 + ... + s_n) / (n + 1)."""
-    vals = s.values
-    return np.cumsum(vals) / np.arange(1, vals.size + 1)
-
-
-def psi_norm(spec: IdealSpec, s: SingularSpectrum) -> float:
-    """Evaluate the ideal functional on a spectrum."""
-    return spec.psi(s.values)
+def sigma_averages(s: np.ndarray) -> np.ndarray:
+    """Cesaro averages sigma_n = (s_0 + ... + s_n) / (n + 1) along the last axis."""
+    return np.cumsum(s, axis=-1) / np.arange(1, np.shape(s)[-1] + 1)
 
 
 def dilate_spectrum(s: SingularSpectrum, d: int) -> SingularSpectrum:
@@ -115,9 +116,15 @@ def dilate_spectrum(s: SingularSpectrum, d: int) -> SingularSpectrum:
     return SingularSpectrum(np.repeat(s.values, d))
 
 
-def schatten_sum(s: np.ndarray, p: float) -> float:
-    """(sum_j s_j^p)^(1/p) of singular values s, for finite p > 0."""
-    return float(np.sum(s**p) ** (1.0 / p))
+def _root(x, p: float) -> float | np.ndarray:
+    """x^(1/p) elementwise by scalar powers (see ``IdealSpec.psi``); a float for 0-d x."""
+    res = np.array([v ** (1.0 / p) for v in np.ravel(x)]).reshape(np.shape(x))
+    return res if res.ndim else float(res)
+
+
+def schatten_sum(s: np.ndarray, p: float) -> float | np.ndarray:
+    """(sum_j s_j^p)^(1/p) over the last axis of singular values s, for finite p > 0."""
+    return _root(np.sum(np.ascontiguousarray(s, dtype=float) ** p, axis=-1), p)
 
 
 def schatten_norm(t: np.ndarray, p: float) -> float:
@@ -154,15 +161,6 @@ def default_test_family() -> list[SingularSpectrum]:
     return family
 
 
-def _analytic_beta(spec: IdealSpec, d: int) -> float | None:
-    if spec.variant in ("Sp", "SpWeak"):
-        return d ** (1.0 / spec.p)
-    if spec.variant == "PowerScale":
-        base = _analytic_beta(spec.base, d)
-        return None if base is None else base ** (1.0 / spec.p)
-    return None
-
-
 def beta_d_estimate(
     spec: IdealSpec,
     d: int,
@@ -181,11 +179,12 @@ def beta_d_estimate(
         families = default_test_family()
     best = 0.0
     for s in families:
-        denom = psi_norm(spec, s)
+        denom = spec.psi(s.values)
         if denom <= 0.0:
             continue
-        best = max(best, psi_norm(spec, dilate_spectrum(s, d)) / denom)
-    return best, _analytic_beta(spec, d)
+        best = max(best, spec.psi(dilate_spectrum(s, d).values) / denom)
+    boyd = _analytic_boyd(spec)
+    return best, None if boyd is None else d**boyd
 
 
 def _analytic_boyd(spec: IdealSpec) -> float | None:
@@ -231,18 +230,20 @@ def averaging_bound(spec: IdealSpec) -> float | None:
 
 
 def _random_spectra(trials: int, seed: int, length: int = 64):
+    """Blocks of up to _BLOCK nonincreasing rows, drawn row by row from one stream."""
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        shape = rng.integers(0, 3)
-        if shape == 0:
-            vals = rng.uniform(0.0, 1.0, length)
-        elif shape == 1:
-            vals = rng.uniform(0.5, 1.5) ** (-np.arange(length, dtype=float) * rng.uniform(0.0, 1.0))
-            vals = vals * rng.uniform(0.1, 10.0)
-        else:
-            gamma = rng.uniform(0.1, 3.0)
-            vals = (1.0 + np.arange(length, dtype=float)) ** (-gamma)
-        yield SingularSpectrum(np.sort(vals)[::-1])
+    j = np.arange(length, dtype=float)
+    for start in range(0, trials, _BLOCK):
+        block = np.empty((min(_BLOCK, trials - start), length))
+        for row in block:
+            shape = rng.integers(0, 3)
+            if shape == 0:
+                row[:] = rng.uniform(0.0, 1.0, length)
+            elif shape == 1:
+                row[:] = rng.uniform(0.5, 1.5) ** (-j * rng.uniform(0.0, 1.0)) * rng.uniform(0.1, 10.0)
+            else:
+                row[:] = (1.0 + j) ** (-rng.uniform(0.1, 3.0))
+        yield np.sort(block, axis=-1)[:, ::-1]
 
 
 def averaging_constant_check(
@@ -258,19 +259,17 @@ def averaging_constant_check(
     bound = averaging_bound(spec)
     empirical = 0.0
     for s in _random_spectra(trials, seed):
-        denom = psi_norm(spec, s)
-        if denom <= 0.0:
-            continue
-        ratio = spec.psi(sigma_averages(s)) / denom
-        empirical = max(empirical, ratio)
+        num, denom = spec.psi(sigma_averages(s)), spec.psi(s)
+        scored = denom > 0.0
+        empirical = float(np.max(num[scored] / denom[scored], initial=empirical))
     return empirical, bound
 
 
 def majorization_le(s1: SingularSpectrum, s2: SingularSpectrum) -> bool:
     """True iff the Cesaro averages of s1 dominate those of s2 at every index."""
     length = max(len(s1), len(s2))
-    a1 = np.cumsum(s1.padded(length)) / np.arange(1, length + 1)
-    a2 = np.cumsum(s2.padded(length)) / np.arange(1, length + 1)
+    a1 = sigma_averages(s1.padded(length))
+    a2 = sigma_averages(s2.padded(length))
     return bool(np.all(a2 <= a1 + 1e-15 * max(a1[0], 1.0)))
 
 

@@ -419,14 +419,15 @@ def experiment_schatten_decay(
         diff = functional_calculus(f, d1) - functional_calculus(f, d2)
         s_diff = singular_values(diff).values
         s_dn = singular_values(dn).values
-        sig = sigma_averages(singular_values(dn))
+        sig = sigma_averages(s_dn)
         heads = np.cumsum(s_dn**p)
+        with np.errstate(over="ignore"):  # above the double range for small alpha: inf is right
+            s_pows = [v ** (1.0 / alpha) for v in s_diff]
         pow_head = 0.0
         pow_diff = 0.0
         for j in range(dim):
             env = (1.0 + j) ** (-alpha / p) * heads[j] ** (alpha / p)
-            s_pow = s_diff[j] ** (1.0 / alpha)
-            rep.add(trial, dim, j, s_diff[j], env, sig[j], s_pow)
+            rep.add(trial, dim, j, s_diff[j], env, sig[j], s_pows[j])
             if env > 0.0:
                 c_decay = max(c_decay, s_diff[j] / (sem * env))
             # normalized by sem before the powers, which small alpha makes huge

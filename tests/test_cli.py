@@ -280,6 +280,25 @@ class TestMain:
         for key in ("c_decay", "c_majorization", "c_head_sum"):
             assert isinstance(meta[key], float) and math.isfinite(meta[key])
 
+    def test_schatten_decay_power_above_double_range(self, tmp_path):
+        # s_j > 1 raised to 1/alpha = 1000 is above the double range: the column reads inf
+        prefix = str(tmp_path / "decay")
+        argv = ["schatten-decay", "--p", "2", "--alpha", "0.001", "--dims", "8",
+                "--trials", "9", "--sigma", "8", "--out", prefix]
+        assert main(argv) == 0
+        with open(prefix + ".csv", encoding="utf-8") as fh:
+            header, *rows = [line.split(",") for line in fh.read().splitlines()]
+        col = header.index("s_j_invalpha")
+        assert any(math.isinf(float(row[col])) for row in rows)
+
+    def test_ideals_boyd_without_trials(self, tmp_path):
+        # an empty averaging stream scores nothing, so the empirical constant stays 0
+        prefix = str(tmp_path / "boyd")
+        assert main(["ideals-boyd", "--p", "2", "--trials", "0", "--out", prefix]) == 0
+        with open(prefix + ".json", encoding="utf-8") as fh:
+            doc = _strict_loads(fh.read())
+        assert doc["rows"][0][3] == 0.0
+
     def test_violation_exit_one(self, tmp_path):
         prefix = str(tmp_path / "bad")
         code = main(["doi-verify", "--seed", "1", "--dims", "4", "--trials", "3",

@@ -5,6 +5,7 @@ import pytest
 
 from opcalc.ideals import (
     IdealSpec,
+    _random_spectra,
     SingularSpectrum,
     averaging_bound,
     averaging_constant_check,
@@ -15,7 +16,6 @@ from opcalc.ideals import (
     kyfan_holder_check,
     kyfan_p_norm,
     majorization_le,
-    psi_norm,
     schatten_norm,
     schatten_sum,
     sigma_averages,
@@ -67,38 +67,38 @@ class TestSingularValues:
 
 class TestSigmaAverages:
     def test_constant_sequence(self):
-        assert np.array_equal(sigma_averages(spectrum(2.0, 2.0, 2.0)), [2.0, 2.0, 2.0])
+        assert np.array_equal(sigma_averages([2.0, 2.0, 2.0]), [2.0, 2.0, 2.0])
 
     def test_delta_sequence(self):
-        got = sigma_averages(spectrum(1.0, 0.0, 0.0))
+        got = sigma_averages([1.0, 0.0, 0.0])
         assert np.abs(got - [1.0, 0.5, 1.0 / 3.0]).max() <= 1e-15
 
     @pytest.mark.parametrize("seed", range(100))
     def test_dominates_tail_value(self, seed):
         rng = np.random.default_rng(seed)
         s = SingularSpectrum(np.sort(rng.uniform(0, 1, 20))[::-1])
-        sig = sigma_averages(s)
+        sig = sigma_averages(s.values)
         assert np.all(sig >= s.values - 1e-15)
         assert np.all(np.diff(sig) <= 1e-15)
 
 
 class TestPsiNorm:
     def test_euclidean(self):
-        assert abs(psi_norm(SP2, spectrum(4.0, 3.0)) - 5.0) <= 1e-15
+        assert abs(SP2.psi([4.0, 3.0]) - 5.0) <= 1e-15
 
     def test_weak_harmonic(self):
         spec = IdealSpec.weak(1.0)
-        assert abs(psi_norm(spec, spectrum(1.0, 0.5, 1.0 / 3.0, 0.25)) - 1.0) <= 1e-15
+        assert abs(spec.psi([1.0, 0.5, 1.0 / 3.0, 0.25]) - 1.0) <= 1e-15
 
     def test_head_zero_is_operator_norm(self):
         spec = IdealSpec.trunc_head(0, SP1)
-        assert psi_norm(spec, spectrum(7.0, 3.0, 1.0)) == 7.0
+        assert spec.psi([7.0, 3.0, 1.0]) == 7.0
 
     def test_power_scale_composes_to_schatten(self):
         spec = IdealSpec.power_scale(2.0, SP2)  # -> S_4
         s = spectrum(2.0, 1.0, 0.5)
         want = np.sum(s.values**4) ** 0.25
-        assert abs(psi_norm(spec, s) - want) <= 1e-14
+        assert abs(spec.psi(s.values) - want) <= 1e-14
 
     @pytest.mark.parametrize("spec", [
         SP1, SP2, IdealSpec.weak(1.5),
@@ -112,11 +112,11 @@ class TestPsiNorm:
             s = SingularSpectrum(vals)
             c = float(rng.uniform(0, 3))
             scaled = SingularSpectrum(c * vals)
-            assert abs(psi_norm(spec, scaled) - c * psi_norm(spec, s)) <= 1e-10 * (
-                1 + psi_norm(spec, s)
+            assert abs(spec.psi(scaled.values) - c * spec.psi(vals)) <= 1e-10 * (
+                1 + spec.psi(vals)
             )
             bigger = SingularSpectrum(vals + rng.uniform(0, 1))
-            assert psi_norm(spec, bigger) >= psi_norm(spec, s) - 1e-12
+            assert spec.psi(bigger.values) >= spec.psi(vals) - 1e-12
 
 
 class TestDilation:
@@ -132,8 +132,8 @@ class TestDilation:
         rng = np.random.default_rng(3)
         s = SingularSpectrum(np.sort(rng.uniform(0, 1, 30))[::-1])
         spec = IdealSpec.schatten(p)
-        got = psi_norm(spec, dilate_spectrum(s, d))
-        want = d ** (1.0 / p) * psi_norm(spec, s)
+        got = spec.psi(dilate_spectrum(s, d).values)
+        want = d ** (1.0 / p) * spec.psi(s.values)
         assert abs(got - want) <= 1e-12 * want
 
 
@@ -194,7 +194,7 @@ class TestAveraging:
 
     def test_constant_spectra_ratio_one(self):
         s = spectrum(*([1.5] * 10))
-        assert abs(SP2.psi(sigma_averages(s)) / psi_norm(SP2, s) - 1.0) <= 1e-14
+        assert abs(SP2.psi(sigma_averages(s.values)) / SP2.psi(s.values) - 1.0) <= 1e-14
 
     def test_p_at_most_one_has_no_bound(self):
         emp, bound = averaging_constant_check(SP1, trials=50, seed=0)
@@ -212,6 +212,65 @@ class TestAveraging:
         assert averaging_bound(spec) == averaging_bound(SP2)
         emp, bound = averaging_constant_check(spec, trials=500, seed=2)
         assert emp <= bound
+
+
+VARIANTS = [
+    SP2,
+    IdealSpec.weak(1.5),
+    IdealSpec.trunc_head(5, IdealSpec.schatten(3.0)),
+    IdealSpec.power_scale(2.0, IdealSpec.schatten(3.0)),
+]
+
+
+def _reference_averaging(spec, trials, seed, length=64):
+    """The averaging stream drawn and scored one spectrum at a time."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(trials):
+        shape = rng.integers(0, 3)
+        if shape == 0:
+            vals = rng.uniform(0.0, 1.0, length)
+        elif shape == 1:
+            vals = rng.uniform(0.5, 1.5) ** (-np.arange(length, dtype=float) * rng.uniform(0.0, 1.0))
+            vals = vals * rng.uniform(0.1, 10.0)
+        else:
+            vals = (1.0 + np.arange(length, dtype=float)) ** (-rng.uniform(0.1, 3.0))
+        s = SingularSpectrum(np.sort(vals)[::-1]).values
+        denom = spec.psi(s)
+        if denom > 0.0:
+            best = max(best, spec.psi(np.cumsum(s) / np.arange(1, length + 1)) / denom)
+    return best
+
+
+class TestStacks:
+    @pytest.mark.parametrize("spec", VARIANTS, ids=lambda spec: spec.variant)
+    def test_stack_equals_its_rows(self, spec):
+        rng = np.random.default_rng(5)
+        stack = np.sort(rng.uniform(0.0, 10.0, (300, 64)), axis=-1)[:, ::-1]
+        got = spec.psi(stack)
+        assert got.shape == (300,)
+        assert np.array_equal(got, [spec.psi(row) for row in stack])
+        avg = sigma_averages(stack)
+        assert np.array_equal(avg, [sigma_averages(row) for row in stack])
+        assert np.array_equal(spec.psi(avg), [spec.psi(row) for row in avg])
+
+    @pytest.mark.parametrize("spec", VARIANTS, ids=lambda spec: spec.variant)
+    def test_one_spectrum_gives_a_float(self, spec):
+        assert type(spec.psi([3.0, 2.0, 1.0])) is float
+
+    @pytest.mark.parametrize("spec", VARIANTS, ids=lambda spec: spec.variant)
+    def test_averaging_check_equals_per_spectrum_loop(self, spec):
+        # 2500 spectra cross two block boundaries of the stream
+        for seed in (0, 3):
+            emp, _ = averaging_constant_check(spec, trials=2500, seed=seed)
+            assert emp == _reference_averaging(spec, 2500, seed)
+
+    def test_stream_comes_in_bounded_blocks(self):
+        blocks = list(_random_spectra(2500, 1))
+        assert [len(b) for b in blocks] == [1024, 1024, 452]
+        rows = np.concatenate(blocks)
+        assert np.all(np.diff(rows, axis=-1) <= 0.0)
+        assert np.array_equal(rows[:1500], np.concatenate(list(_random_spectra(1500, 1))))
 
 
 class TestMajorization:
