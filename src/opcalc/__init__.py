@@ -36,7 +36,6 @@ from .doi import (
 )
 from .ideals import (
     IdealSpec,
-    SingularSpectrum,
     averaging_constant_check,
     beta_d_estimate,
     boyd_index_estimate,

@@ -3,7 +3,8 @@
 Covers the Schatten scale S_p, the weak classes S_{p,inf}, Ky-Fan head sums
 S_p^l, head-truncated and power-scaled ideals, dilation of spectra, Boyd
 index estimation, and the averaging inequality that holds when the index is
-below one.
+below one.  Spectra are float arrays, nonincreasing along the last axis;
+the ones a caller passes in are checked where they enter.
 """
 
 from __future__ import annotations
@@ -14,31 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _BLOCK = 1024  # rows of the averaging stream scored at once; bounds its memory
-
-
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Finite nonincreasing sequence of nonnegative reals (zeros implied beyond)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("spectrum must be a nonempty 1-d sequence")
-        if vals.min() < 0.0:
-            raise ValueError("singular values must be nonnegative")
-        if np.any(np.diff(vals) > 1e-12 * max(vals.max(), 1.0)):
-            raise ValueError("sequence must be nonincreasing")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def padded(self, length: int) -> np.ndarray:
-        out = np.zeros(length)
-        out[: min(length, len(self))] = self.values[:length]
-        return out
 
 
 @dataclass(frozen=True)
@@ -98,10 +74,26 @@ class IdealSpec:
         raise ValueError(f"unknown variant {self.variant!r}")
 
 
-def singular_values(t: np.ndarray) -> SingularSpectrum:
-    """Singular values of a matrix, sorted nonincreasing."""
-    t = np.asarray(t, dtype=complex)
-    return SingularSpectrum(np.linalg.svd(t, compute_uv=False))
+def singular_values(t: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, nonincreasing; a (k, n, n) stack gives a (k, n) stack."""
+    return np.linalg.svd(np.asarray(t, dtype=complex), compute_uv=False)
+
+
+def _checked(s) -> np.ndarray:
+    """A caller's spectrum or (k, n) stack of spectra as floats, each row checked.
+
+    Every row must be nonempty, nonnegative and nonincreasing (within
+    1e-12 max(s_0, 1)); zeros are implied beyond its end.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim == 0 or s.size == 0:
+        raise ValueError("spectra must be nonempty sequences")
+    if s.min() < 0.0:
+        raise ValueError("singular values must be nonnegative")
+    slack = 1e-12 * np.maximum(s.max(axis=-1, keepdims=True), 1.0)
+    if np.any(np.diff(s, axis=-1) > slack):
+        raise ValueError("sequence must be nonincreasing")
+    return s
 
 
 def sigma_averages(s: np.ndarray) -> np.ndarray:
@@ -109,11 +101,11 @@ def sigma_averages(s: np.ndarray) -> np.ndarray:
     return np.cumsum(s, axis=-1) / np.arange(1, np.shape(s)[-1] + 1)
 
 
-def dilate_spectrum(s: SingularSpectrum, d: int) -> SingularSpectrum:
+def dilate_spectrum(s: np.ndarray, d: int) -> np.ndarray:
     """Each singular value repeated d times (spectrum of a d-fold direct sum)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return SingularSpectrum(np.repeat(s.values, d))
+    return np.repeat(_checked(s), d, axis=-1)
 
 
 def _root(x, p: float) -> float | np.ndarray:
@@ -129,7 +121,7 @@ def schatten_sum(s: np.ndarray, p: float) -> float | np.ndarray:
 
 def schatten_norm(t: np.ndarray, p: float) -> float:
     """||T||_{S_p}; p = inf gives the operator norm."""
-    s = singular_values(t).values
+    s = singular_values(t)
     if math.isinf(p):
         return float(s[0]) if s.size else 0.0
     return schatten_sum(s, p)
@@ -137,54 +129,51 @@ def schatten_norm(t: np.ndarray, p: float) -> float:
 
 def kyfan_p_norm(t: np.ndarray, p: float, l: int) -> float:
     """Head sum norm (sum_{j<=l} s_j^p)^{1/p}."""
-    return schatten_sum(singular_values(t).values[: l + 1], p)
+    return schatten_sum(singular_values(t)[: l + 1], p)
 
 
-def default_test_family() -> list[SingularSpectrum]:
-    """Closed test family for dilation/Boyd estimates, sequences of length 512.
+def default_test_family() -> np.ndarray:
+    """Closed test family for dilation/Boyd estimates: a (14, 512) stack of spectra.
 
     Geometric tails, power-law tails, and finite-support indicators; the
     supremum of dilation ratios over this family is a certified lower bound
     on the dilation transformer quasinorm.
     """
-    length = 512
-    j = np.arange(length, dtype=float)
-    family = []
-    for r in (0.99, 0.9, 0.5):
-        family.append(SingularSpectrum(r**j))
-    for gamma in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
-        family.append(SingularSpectrum((1.0 + j) ** (-gamma)))
-    for k in (1, 4, 16, 64, 256):
-        vals = np.zeros(length)
-        vals[:k] = 1.0
-        family.append(SingularSpectrum(vals))
-    return family
+    j = np.arange(512, dtype=float)
+    return np.array(
+        [r**j for r in (0.99, 0.9, 0.5)]
+        + [(1.0 + j) ** (-gamma) for gamma in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)]
+        + [(j < k).astype(float) for k in (1, 4, 16, 64, 256)]
+    )
+
+
+def _dilation_ratio(spec: IdealSpec, d: int, family: np.ndarray) -> float:
+    """Supremum of Psi(dilate(s, d)) / Psi(s) over the rows s of the family."""
+    best = 0.0
+    for s in family:
+        denom = spec.psi(s)
+        if denom > 0.0:
+            best = max(best, spec.psi(np.repeat(s, d)) / denom)
+    return best
 
 
 def beta_d_estimate(
     spec: IdealSpec,
     d: int,
-    families: list[SingularSpectrum] | None = None,
+    families: np.ndarray | None = None,
 ) -> tuple[float, float | None]:
     """Lower bound on the d-fold dilation quasinorm, with analytic value if known.
 
     Returns (estimate, analytic); the estimate is the supremum of
-    Psi(dilate(s, d)) / Psi(s) over the test family, hence a certified lower
-    bound.  For Sp/SpWeak (and their power scalings) the exact value d^(1/p)
-    is returned alongside.
+    Psi(dilate(s, d)) / Psi(s) over the test family (a (k, n) stack of
+    spectra), hence a certified lower bound.  For Sp/SpWeak (and their power
+    scalings) the exact value d^(1/p) is returned alongside.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if families is None:
-        families = default_test_family()
-    best = 0.0
-    for s in families:
-        denom = spec.psi(s.values)
-        if denom <= 0.0:
-            continue
-        best = max(best, spec.psi(dilate_spectrum(s, d).values) / denom)
+    family = default_test_family() if families is None else _checked(families)
     boyd = _analytic_boyd(spec)
-    return best, None if boyd is None else d**boyd
+    return _dilation_ratio(spec, d, family), None if boyd is None else d**boyd
 
 
 def _analytic_boyd(spec: IdealSpec) -> float | None:
@@ -199,18 +188,16 @@ def _analytic_boyd(spec: IdealSpec) -> float | None:
 def boyd_index_estimate(
     spec: IdealSpec,
     d_max: int,
-    families: list[SingularSpectrum] | None = None,
+    families: np.ndarray | None = None,
 ) -> tuple[float, float | None]:
     """Upper Boyd index estimate: min over d in {2, 4, ...} of log beta_d / log d."""
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
-    if families is None:
-        families = default_test_family()
+    family = default_test_family() if families is None else _checked(families)
     best = math.inf
     d = 2
     while d <= d_max:
-        est, _ = beta_d_estimate(spec, d, families)
-        best = min(best, math.log(est) / math.log(d))
+        best = min(best, math.log(_dilation_ratio(spec, d, family)) / math.log(d))
         d *= 2
     return best, _analytic_boyd(spec)
 
@@ -246,6 +233,20 @@ def _random_spectra(trials: int, seed: int, length: int = 64):
         yield np.sort(block, axis=-1)[:, ::-1]
 
 
+def _averaging_constants(
+    specs: list[IdealSpec], trials: int, seed: int
+) -> list[tuple[float, float | None]]:
+    """``averaging_constant_check`` for each spec, all scored on one drawn stream."""
+    best = [0.0] * len(specs)
+    for s in _random_spectra(trials, seed):
+        avg = sigma_averages(s)
+        for i, spec in enumerate(specs):
+            num, denom = spec.psi(avg), spec.psi(s)
+            scored = denom > 0.0
+            best[i] = float(np.max(num[scored] / denom[scored], initial=best[i]))
+    return [(emp, averaging_bound(spec)) for emp, spec in zip(best, specs)]
+
+
 def averaging_constant_check(
     spec: IdealSpec, trials: int = 1000, seed: int = 0
 ) -> tuple[float, float | None]:
@@ -256,20 +257,15 @@ def averaging_constant_check(
     exceeds bound_C: judging that is the caller's part (``ideals-boyd``
     counts it as a violation).
     """
-    bound = averaging_bound(spec)
-    empirical = 0.0
-    for s in _random_spectra(trials, seed):
-        num, denom = spec.psi(sigma_averages(s)), spec.psi(s)
-        scored = denom > 0.0
-        empirical = float(np.max(num[scored] / denom[scored], initial=empirical))
-    return empirical, bound
+    return _averaging_constants([spec], trials, seed)[0]
 
 
-def majorization_le(s1: SingularSpectrum, s2: SingularSpectrum) -> bool:
+def majorization_le(s1: np.ndarray, s2: np.ndarray) -> bool:
     """True iff the Cesaro averages of s1 dominate those of s2 at every index."""
-    length = max(len(s1), len(s2))
-    a1 = sigma_averages(s1.padded(length))
-    a2 = sigma_averages(s2.padded(length))
+    s1, s2 = _checked(s1), _checked(s2)
+    length = max(s1.size, s2.size)
+    a1 = sigma_averages(np.pad(s1, (0, length - s1.size)))
+    a2 = sigma_averages(np.pad(s2, (0, length - s2.size)))
     return bool(np.all(a2 <= a1 + 1e-15 * max(a1[0], 1.0)))
 
 

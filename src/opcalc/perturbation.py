@@ -30,9 +30,10 @@ from .bandlimited import (
 from .doi import difference_via_doi, quasicommutator_via_doi
 from .ideals import (
     IdealSpec,
-    averaging_constant_check,
+    _averaging_constants,
     boyd_index_estimate,
     schatten_norm,
+    schatten_sum,
     sigma_averages,
     singular_values,
 )
@@ -300,12 +301,12 @@ def experiment_lipschitz(
             d1, d2 = coupled_normal_pair(dim, float(2.0 ** -(trial % 11)), rng)
         dn = d1.matrix - d2.matrix
         diff = functional_calculus(f, d1) - functional_calculus(f, d2)
-        delta_op = float(np.linalg.norm(dn, 2))
-        delta_s1 = schatten_norm(dn, 1.0)
+        s_dn = singular_values(dn)  # norm(dn, 2) is the max of this same SVD
+        delta_op, delta_s1 = float(s_dn[0]), schatten_sum(s_dn, 1.0)
         if delta_op < 1e-14:
             continue
-        num_op = float(np.linalg.norm(diff, 2))
-        num_s1 = schatten_norm(diff, 1.0)
+        s_diff = singular_values(diff)
+        num_op, num_s1 = float(s_diff[0]), schatten_sum(s_diff, 1.0)
         q_op = num_op / delta_op
         q_s1 = num_s1 / delta_s1
         if max(q_op, q_s1) > lip * (1.0 + 1e-9):
@@ -417,8 +418,8 @@ def experiment_schatten_decay(
             d1, d2 = independent_normal_pair(dim, rng)
         dn = d1.matrix - d2.matrix
         diff = functional_calculus(f, d1) - functional_calculus(f, d2)
-        s_diff = singular_values(diff).values
-        s_dn = singular_values(dn).values
+        s_diff = singular_values(diff)
+        s_dn = singular_values(dn)
         sig = sigma_averages(s_dn)
         heads = np.cumsum(s_dn**p)
         with np.errstate(over="ignore"):  # above the double range for small alpha: inf is right
@@ -595,8 +596,8 @@ def experiment_sinc_check(trials: int, seed: int) -> ExperimentReport:
 def experiment_ideals_boyd(p_list: list[float], trials: int, seed: int) -> ExperimentReport:
     """Boyd index and averaging constants for the Schatten scale.
 
-    The averaging check draws all its spectra from one stream seeded by
-    ``seed`` (see ``averaging_constant_check``), not from per-trial streams.
+    The averaging check draws all its spectra once, from one stream seeded by
+    ``seed`` (see ``averaging_constant_check``), and scores them for every p.
     A Boyd estimate more than 1e-6 off its analytic value, or an averaging
     constant above its certified bound, counts as a violation.
     """
@@ -606,10 +607,9 @@ def experiment_ideals_boyd(p_list: list[float], trials: int, seed: int) -> Exper
         ["p", "boyd_estimate", "boyd_analytic", "avg_empirical", "avg_bound"],
         meta={"violations": 0},
     )
-    for p in p_list:
-        spec = IdealSpec.schatten(p)
+    specs = [IdealSpec.schatten(p) for p in p_list]
+    for p, spec, (emp, bound) in zip(p_list, specs, _averaging_constants(specs, trials, seed)):
         est, analytic = boyd_index_estimate(spec, 64)
-        emp, bound = averaging_constant_check(spec, trials, seed)
         if abs(est - analytic) > 1e-6:
             rep.meta["violations"] += 1
         if bound is not None and emp > bound * (1.0 + 1e-9):

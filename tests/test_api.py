@@ -11,7 +11,7 @@ import importlib
 import inspect
 
 MODULES = ("bandlimited", "doi", "sinc", "spectral", "ideals", "perturbation")
-PUBLIC_CALLABLES = 96
+PUBLIC_CALLABLES = 94
 DEFAULTED_PARAMETERS = 38
 # parameters that would let a caller replace the one window, the divided-difference
 # rule, the bracket policy, the quadrature settings or the suites' spectrum box

@@ -6,7 +6,6 @@ import pytest
 from opcalc.ideals import (
     IdealSpec,
     _random_spectra,
-    SingularSpectrum,
     averaging_bound,
     averaging_constant_check,
     beta_d_estimate,
@@ -27,7 +26,7 @@ SP2 = IdealSpec.schatten(2.0)
 
 
 def spectrum(*vals):
-    return SingularSpectrum(np.array(vals, dtype=float))
+    return np.array(vals, dtype=float)
 
 
 class TestSingularValues:
@@ -35,18 +34,18 @@ class TestSingularValues:
         from opcalc.spectral import haar_unitary
 
         u = haar_unitary(5, np.random.default_rng(0))
-        s = singular_values(u).values
+        s = singular_values(u)
         assert np.abs(s - 1.0).max() <= 1e-12
 
     def test_diagonal_sorting(self):
-        s = singular_values(np.diag([3.0, 1.0, 2.0])).values
+        s = singular_values(np.diag([3.0, 1.0, 2.0]))
         assert np.array_equal(s, [3.0, 2.0, 1.0])
 
     def test_rank_one(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        s = singular_values(np.outer(a, b.conj())).values
+        s = singular_values(np.outer(a, b.conj()))
         want = np.linalg.norm(a) * np.linalg.norm(b)
         assert abs(s[0] - want) <= 1e-12 * want
         assert np.abs(s[1:]).max() <= 1e-12 * want
@@ -55,14 +54,28 @@ class TestSingularValues:
     def test_frobenius_consistency(self, seed):
         rng = np.random.default_rng(seed)
         t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        s = singular_values(t).values
+        s = singular_values(t)
         assert abs(np.sum(s**2) - np.linalg.norm(t) ** 2) <= 1e-10 * np.linalg.norm(t) ** 2
 
+    @pytest.mark.parametrize("n", [2, 5, 8, 32])
+    def test_stack_equals_per_matrix(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.standard_normal((80, n, n)) + 1j * rng.standard_normal((80, n, n))
+        got = singular_values(stack)
+        assert got.shape == (80, n)
+        assert np.array_equal(got, [singular_values(t) for t in stack])
+
+    def test_operator_norm_is_the_first_singular_value(self):
+        rng = np.random.default_rng(64)
+        for dim in range(1, 65):
+            x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            assert np.linalg.norm(x, 2) == singular_values(x)[0]
+
     def test_monotonicity_enforced(self):
-        with pytest.raises(ValueError):
-            SingularSpectrum(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            SingularSpectrum(np.array([1.0, -0.5]))
+        with pytest.raises(ValueError, match="nonincreasing"):
+            majorization_le(spectrum(1.0, 2.0), spectrum(1.0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            dilate_spectrum(spectrum(1.0, -0.5), 2)
 
 
 class TestSigmaAverages:
@@ -76,9 +89,9 @@ class TestSigmaAverages:
     @pytest.mark.parametrize("seed", range(100))
     def test_dominates_tail_value(self, seed):
         rng = np.random.default_rng(seed)
-        s = SingularSpectrum(np.sort(rng.uniform(0, 1, 20))[::-1])
-        sig = sigma_averages(s.values)
-        assert np.all(sig >= s.values - 1e-15)
+        s = np.sort(rng.uniform(0, 1, 20))[::-1]
+        sig = sigma_averages(s)
+        assert np.all(sig >= s - 1e-15)
         assert np.all(np.diff(sig) <= 1e-15)
 
 
@@ -97,8 +110,8 @@ class TestPsiNorm:
     def test_power_scale_composes_to_schatten(self):
         spec = IdealSpec.power_scale(2.0, SP2)  # -> S_4
         s = spectrum(2.0, 1.0, 0.5)
-        want = np.sum(s.values**4) ** 0.25
-        assert abs(spec.psi(s.values) - want) <= 1e-14
+        want = np.sum(s**4) ** 0.25
+        assert abs(spec.psi(s) - want) <= 1e-14
 
     @pytest.mark.parametrize("spec", [
         SP1, SP2, IdealSpec.weak(1.5),
@@ -109,31 +122,28 @@ class TestPsiNorm:
         rng = np.random.default_rng(11)
         for _ in range(20):
             vals = np.sort(rng.uniform(0, 2, 12))[::-1]
-            s = SingularSpectrum(vals)
             c = float(rng.uniform(0, 3))
-            scaled = SingularSpectrum(c * vals)
-            assert abs(spec.psi(scaled.values) - c * spec.psi(vals)) <= 1e-10 * (
+            assert abs(spec.psi(c * vals) - c * spec.psi(vals)) <= 1e-10 * (
                 1 + spec.psi(vals)
             )
-            bigger = SingularSpectrum(vals + rng.uniform(0, 1))
-            assert spec.psi(bigger.values) >= spec.psi(vals) - 1e-12
+            assert spec.psi(vals + rng.uniform(0, 1)) >= spec.psi(vals) - 1e-12
 
 
 class TestDilation:
     def test_identity(self):
         s = spectrum(2.0, 1.0)
-        assert np.array_equal(dilate_spectrum(s, 1).values, s.values)
+        assert np.array_equal(dilate_spectrum(s, 1), s)
 
     def test_doubling(self):
-        assert np.array_equal(dilate_spectrum(spectrum(2.0, 1.0), 2).values, [2.0, 2.0, 1.0, 1.0])
+        assert np.array_equal(dilate_spectrum(spectrum(2.0, 1.0), 2), [2.0, 2.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("p,d", [(1.0, 2), (2.0, 4), (0.5, 3), (4.0, 8)])
     def test_schatten_scaling_exact(self, p, d):
         rng = np.random.default_rng(3)
-        s = SingularSpectrum(np.sort(rng.uniform(0, 1, 30))[::-1])
+        s = np.sort(rng.uniform(0, 1, 30))[::-1]
         spec = IdealSpec.schatten(p)
-        got = spec.psi(dilate_spectrum(s, d).values)
-        want = d ** (1.0 / p) * spec.psi(s.values)
+        got = spec.psi(dilate_spectrum(s, d))
+        want = d ** (1.0 / p) * spec.psi(s)
         assert abs(got - want) <= 1e-12 * want
 
 
@@ -168,6 +178,24 @@ class TestBetaAndBoyd:
         assert abs(analytic - 0.25) <= 1e-15
         assert abs(est - 0.25) <= 1e-6
 
+    def test_default_family_is_one_stack(self):
+        fam = default_test_family()
+        assert fam.shape == (14, 512)
+        assert np.all(np.diff(fam, axis=-1) <= 0.0) and fam.min() >= 0.0
+
+    @pytest.mark.parametrize("bad_row,match", [
+        ([0.0, 0.5, 0.0], "nonincreasing"),
+        ([1.0, -1e-3, -1e-3], "nonnegative"),
+    ])
+    def test_caller_family_checked_row_by_row(self, bad_row, match):
+        fam = np.array([[3.0, 2.0, 1.0], [1.0, 1.0 + 1e-13, 0.0]])  # within the slack
+        assert abs(beta_d_estimate(SP2, 2, fam)[0] - math.sqrt(2.0)) <= 1e-12
+        bad = np.array([[1.0, 1.0, 0.0], bad_row])
+        with pytest.raises(ValueError, match=match):
+            beta_d_estimate(SP2, 2, bad)
+        with pytest.raises(ValueError, match=match):
+            boyd_index_estimate(SP2, 4, bad)
+
     def test_trunc_head_behaves_like_base_on_short_sequences(self):
         spec = IdealSpec.trunc_head(511, SP1)
         est, _ = beta_d_estimate(spec, 2, [spectrum(*([1.0] * 16))])
@@ -194,7 +222,7 @@ class TestAveraging:
 
     def test_constant_spectra_ratio_one(self):
         s = spectrum(*([1.5] * 10))
-        assert abs(SP2.psi(sigma_averages(s.values)) / SP2.psi(s.values) - 1.0) <= 1e-14
+        assert abs(SP2.psi(sigma_averages(s)) / SP2.psi(s) - 1.0) <= 1e-14
 
     def test_p_at_most_one_has_no_bound(self):
         emp, bound = averaging_constant_check(SP1, trials=50, seed=0)
@@ -235,7 +263,7 @@ def _reference_averaging(spec, trials, seed, length=64):
             vals = vals * rng.uniform(0.1, 10.0)
         else:
             vals = (1.0 + np.arange(length, dtype=float)) ** (-rng.uniform(0.1, 3.0))
-        s = SingularSpectrum(np.sort(vals)[::-1]).values
+        s = np.sort(vals)[::-1]
         denom = spec.psi(s)
         if denom > 0.0:
             best = max(best, spec.psi(np.cumsum(s) / np.arange(1, length + 1)) / denom)
@@ -292,7 +320,7 @@ class TestSchattenSum:
     def test_norm_head_sum_and_psi_agree(self):
         rng = np.random.default_rng(12)
         t = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        s = singular_values(t).values
+        s = singular_values(t)
         for p in (0.5, 1.0, 2.0, 3.5):
             want = schatten_sum(s, p)
             assert schatten_norm(t, p) == want

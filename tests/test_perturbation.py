@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from opcalc import bandlimited, perturbation
+from opcalc import bandlimited, ideals, perturbation
 from opcalc.bandlimited import TrigPolynomial, band_uppers, lp_pieces, random_trig_polynomial
 from opcalc.perturbation import (
     ConvexBody,
@@ -15,6 +15,7 @@ from opcalc.perturbation import (
     experiment_doi_identity,
     experiment_fuglede_ratio,
     experiment_holder_sweep,
+    experiment_ideals_boyd,
     experiment_lipschitz,
     experiment_quasicommutator,
     experiment_schatten_decay,
@@ -305,6 +306,24 @@ class TestExperiments:
         rep = experiment_fuglede_ratio([2, 3, 4], [1.0, float("inf")], 60, seed=17)
         assert rep.meta["max_ratio"]["1.0"] > 1.001
         assert rep.meta["max_ratio"]["inf"] > 1.001
+
+    def test_ideals_boyd_draws_the_stream_once(self, monkeypatch):
+        p_list = [1.0, 4.0 / 3.0, 2.0, 4.0, 15.0]
+        draws = []
+        original = ideals._random_spectra
+
+        def counted(trials, seed):
+            draws.append((trials, seed))
+            return original(trials, seed)
+
+        monkeypatch.setattr(ideals, "_random_spectra", counted)
+        rep = experiment_ideals_boyd(p_list, 1500, seed=4)
+        assert draws == [(1500, 4)]
+        monkeypatch.undo()
+        got = [row[rep.columns.index("avg_empirical")] for row in rep.rows]
+        want = [ideals.averaging_constant_check(ideals.IdealSpec.schatten(p), 1500, 4)[0]
+                for p in p_list]
+        assert got == want
 
     def test_hermitian_pair_ratio_one_for_all_p(self):
         # conjugation acts trivially on Hermitian quasicommutators
