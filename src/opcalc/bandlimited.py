@@ -19,12 +19,13 @@ from .errors import DivergentTailError, GridTooCoarseError
 
 # The auto policy of ``grid_bracket``: one grid of _AUTO_GRID points per
 # period, or more where the second-order bound needs them, never above
-# _MAX_GRID (4096^2 complex values take 256 MB).  Each of at most
-# _MAX_CANDIDATES candidate cells is resampled on a _PATCH^d patch.
+# _MAX_GRID (4096^2 complex values take 256 MB).  Each round resamples the
+# candidate cells on patches of _PATCH_BUDGET points in all: _PATCH^d points
+# each for up to 64 cells, fewer (at least 2^d) for more.
 _AUTO_GRID = 256
 _MAX_GRID = 4096
 _PATCH = 64
-_MAX_CANDIDATES = 64
+_PATCH_BUDGET = 64 * _PATCH**2
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = np.finfo(float).tiny
 
@@ -203,9 +204,10 @@ class _Terms:
         exponential: exp(i t.(h k)) @ c.  Larger inputs factor the phase,
         e^{ih<k,t>} = (e^{ihx})^j (e^{ihy})^k, from tables of the powers on
         each axis: a column of x against a row of y (either way round) is
-        (c * E_x[j]).T @ E_y[k], one product over the terms, and any other
-        input is c @ (E_x[j] * E_y[k]) in blocks of points.  Both forms give
-        the sum to rounding; the rule only picks the cheaper one.
+        (c * E_x[j]).T @ E_y[k], one product over the terms, a stack of such
+        pairs (shapes (..., n, 1) and (..., 1, m)) one stacked product, and
+        any other input is c @ (E_x[j] * E_y[k]) in blocks of points.  Both
+        forms give the sum to rounding; the rule only picks the cheaper one.
         """
         coords = [np.asarray(c, dtype=float) for c in coords]
         shape = np.broadcast(*coords).shape
@@ -215,12 +217,13 @@ class _Terms:
         if size * terms <= _ONE_SHOT_ENTRIES:
             return self._one_shot(coords)
         factored = int(self.span.sum()) <= _POWERS_PER_TERM * terms
-        if factored and len(coords) == 2 and coords[0].ndim == coords[1].ndim == 2:
+        if factored and len(coords) == 2 and coords[0].ndim == coords[1].ndim >= 2:
             x, y = coords
-            if x.shape[1] == y.shape[0] == 1:
-                return (self._powers(0, x) * self.amps[:, None]).T @ self._powers(1, y)
-            if x.shape[0] == y.shape[1] == 1:
-                return (self._powers(1, y) * self.amps[:, None]).T @ self._powers(0, x)
+            if x.shape[:-2] == y.shape[:-2]:
+                if x.shape[-1] == y.shape[-2] == 1:
+                    return self._column_row(0, x, y)
+                if x.shape[-2] == y.shape[-1] == 1:
+                    return self._column_row(1, y, x)
         form = self._factored if factored else self._one_shot
         flat = [np.broadcast_to(c, shape).ravel() for c in coords]
         out = np.empty(size, dtype=complex)
@@ -233,6 +236,18 @@ class _Terms:
         if len(coords) == 2:
             theta = theta + coords[1][..., None] * self._hfreqs[1]
         return np.exp(1j * theta) @ self.amps
+
+    def _column_row(self, axis: int, col: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Columns (..., n, 1) of one axis's coordinates against rows (..., 1, m) of the other's.
+
+        One product over the terms per pair, (..., n, T) @ (..., T, m), from
+        the power tables of all the coordinates of each axis.
+        """
+        cols = self._powers(axis, col) * self.amps[:, None]
+        rows = self._powers(1 - axis, row)
+        cols = cols.reshape(len(cols), *col.shape[:-1])
+        rows = rows.reshape(len(rows), *row.shape[:-2], row.shape[-1])
+        return np.moveaxis(cols, 0, -1) @ np.moveaxis(rows, 0, -2)
 
     def _powers(self, axis: int, t: np.ndarray) -> np.ndarray:
         """(T, t.size) table of each term's phase factor on one axis, e^{i h k_axis t}."""
@@ -415,22 +430,32 @@ def grid_bracket(
     and M <= (largest sample) / (1 - q) while sigma r < sqrt(2).  The
     first-order bound M <= (largest sample) / (1 - sigma r) is never
     tighter.  Independently, M <= sum_k |c_k| (triangle inequality), with
-    equality for one term and for two or three terms whose frequencies are
-    in general position; every upper is capped by it.
+    equality when the differences k - k_0 of the frequencies are linearly
+    independent (one term, two terms, or three in general position in
+    2-D): some point then aligns every term's phase.  Every upper is capped
+    by it.
 
     A constant g (no nonzero frequency) has the bracket (|c|, |c|).  With
     an integer m the samples are the m^d grid over one period
     (delta = period / m, r = delta sqrt(d) / 2, by FFT), and the lower
     bound is their maximum of |g| less its rounding slack (below).  With m None (the auto policy) the grid
     has 256 points per period, or the least power of two above that on
-    which sigma r < sqrt(2), at most 4096.  The maximizer's nearest grid
+    which sigma r < sqrt(2), at most 4096.  The auto policy takes the
+    exact case without sampling: its bracket is sum_k |c_k| rounded down
+    and up by its summation error.  Otherwise the maximizer's nearest grid
     point G has |g(G)| >= M (1 - q) >= lower (1 - q), so only grid points
-    that reach lower (1 - q) are candidates.  If at most 64 are, g is
-    evaluated directly on a 64^d cell-centred patch of each candidate's
-    cell (spacing delta / 64, so q shrinks 4096-fold); z* lies in
-    one of these cells, and the bracket is the largest patch value over
-    1 - q / 4096.  With more candidates (|g| nearly constant, as for pieces
-    of one to three terms) the one-grid bracket stands, capped as above.
+    that reach lower (1 - q) are candidates.  g is evaluated directly on a
+    cell-centred patch of side^d points in each candidate's cell, the
+    candidates sharing 64 * 64^2 points: side = floor((64 * 64^2 /
+    cells)^(1/d)), at most 64 and at least 2 (spacing delta / side, so q
+    shrinks side^2-fold).  z* lies in one of these cells, and the bracket
+    is the largest patch value over 1 - q / side^2.  By the same argument
+    the cell holding z* has a patch value of at least lower (1 - q /
+    side^2), so cells below that are dropped; while that leaves few enough
+    cells for a larger side, the rest are sampled again on finer patches
+    (a ridge, where |g| is nearly constant along a line, takes two or
+    three rounds).  In 2-D the patches are columns of x against rows of
+    y, evaluated in chunks as one stacked product each.
 
     Rounding: each maximum of computed values gets a slack s added before
     the division and subtracted for the lower bound (floored at 0),
@@ -449,8 +474,9 @@ def grid_bracket(
     one-exponential form is no worse, and n = 24 sum_a (K_a + span_a + 1).
     The 2T term bounds the sum over the terms and the 8 the final sum and
     division (q is inflated by 8u to cover its own rounding).  The cap is
-    inflated by (T + 2) u, and upper is never below the largest computed
-    value (which exceeds the cap only by rounding).
+    inflated by (T + 2) u and the exact case's lower end deflated by it,
+    which covers the T moduli and the sum, and upper is never below the
+    largest computed value (which exceeds the cap only by rounding).
     """
     d = g.ndim
     terms = g._terms
@@ -459,6 +485,8 @@ def grid_bracket(
         return l1, l1
     cap = l1 * (1.0 + (terms.amps.size + 2) * _UNIT_ROUNDOFF)
     auto = m is None
+    if auto and _phases_align(terms.freqs):
+        return l1 * (1.0 - (terms.amps.size + 2) * _UNIT_ROUNDOFF), cap
     if auto:
         # sigma r < sqrt(2) needs m > need; the least power of two above it, within bounds
         need = math.pi * sigma * math.sqrt(d / 2.0) / g.h
@@ -477,20 +505,60 @@ def grid_bracket(
     lower = top - slack
     upper = (top + slack) / (1.0 - q)
     if auto:
-        cells = np.flatnonzero(mod >= (top - slack) * (1.0 - q) - slack)
-        if cells.size <= _MAX_CANDIDATES:
-            offsets = (np.arange(_PATCH) + 0.5 - _PATCH / 2.0) * (delta / _PATCH)
-            patch_top = 0.0
-            for cell in zip(*np.unravel_index(cells, mod.shape)):
-                # in 2-D a column of x against a row of y: one product in ``_Terms``
-                patch = np.ix_(*(i * delta + offsets for i in cell))
-                patch_top = max(patch_top, float(np.abs(terms(*patch)).max()))
-            reach = terms.span + np.abs(terms.freqs).max(axis=0) + 1
-            slack = _rounding_slack(terms, l1, 24.0 * float(reach.sum()))
+        cells = np.unravel_index(np.flatnonzero(mod >= lower * (1.0 - q) - slack), mod.shape)
+        reach = terms.span + np.abs(terms.freqs).max(axis=0) + 1
+        slack = _rounding_slack(terms, l1, 24.0 * float(reach.sum()))
+        side = _patch_side(cells[0].size, d)
+        while True:
+            cell_tops = _patch_tops(terms, cells, delta, side)
+            patch_top = float(cell_tops.max())
+            q_patch = q / side**2
             lower = max(lower, patch_top - slack)
-            upper = (patch_top + slack) / (1.0 - q / _PATCH**2)
+            upper = (patch_top + slack) / (1.0 - q_patch)
             top = max(top, patch_top)
+            # the cell holding z* has a patch point within r / side of it
+            keep = cell_tops >= lower * (1.0 - q_patch) - slack
+            finer = _patch_side(int(keep.sum()), d)
+            if finer == side:
+                break
+            cells, side = [i[keep] for i in cells], finer
     return max(lower, 0.0), max(top, min(upper, cap))
+
+
+def _patch_side(cells: int, d: int) -> int:
+    """Points per axis of each of ``cells`` patches sharing ``_PATCH_BUDGET``, in [2, _PATCH]."""
+    per_cell = _PATCH_BUDGET // cells
+    return max(2, min(_PATCH, math.isqrt(per_cell) if d == 2 else per_cell))
+
+
+def _patch_tops(terms: _Terms, cells: list, delta: float, side: int) -> np.ndarray:
+    """Largest computed |g| on the cell-centred side^d patch of each grid cell (index arrays)."""
+    offsets = (np.arange(side) + 0.5 - side / 2.0) * (delta / side)
+    axes = [i[:, None] * delta + offsets for i in cells]
+    # in 2-D a chunk of cells is one stacked column x row product in ``_Terms``, its
+    # tables 64^2 coordinates per axis; a 1-D patch goes alone, as ``_Terms`` picks
+    # its form by size
+    chunk = _PATCH**2 // side if len(cells) == 2 else 1
+    tops = []
+    for start in range(0, cells[0].size, chunk):
+        coords = [a[start:start + chunk] for a in axes]
+        if len(cells) == 2:
+            coords = [coords[0][:, :, None], coords[1][:, None, :]]
+        values = np.abs(terms(*coords))
+        tops.append(values.reshape(len(values), -1).max(axis=1))
+    return np.concatenate(tops)
+
+
+def _phases_align(freqs: np.ndarray) -> bool:
+    """True if the differences k - k_0 of the (distinct) frequencies are linearly independent.
+
+    Then some point puts every term's phase at that of its coefficient, and
+    ||g||_inf = sum_k |c_k|.  The test is exact in integers.
+    """
+    diffs = freqs[1:] - freqs[0]
+    if len(diffs) < 2:
+        return True  # one term, or one difference, nonzero as the frequencies are distinct
+    return len(diffs) == freqs.shape[1] == 2 and diffs[0, 0] * diffs[1, 1] != diffs[0, 1] * diffs[1, 0]
 
 
 def _rounding_slack(terms: _Terms, l1: float, steps: float) -> float:
@@ -636,8 +704,10 @@ def sup_norm(f: TrigPolynomial) -> tuple[float, float]:
     """Certified bracket lower <= ||f||_inf <= upper.
 
     ``grid_bracket``'s auto policy on f's exponential type ``support_radius``:
-    one FFT grid, then 64 x 64 patches of the few candidate cells, the
-    one-grid bracket above 64 candidates, every upper capped by sum_k |c_k|.
+    sum_k |c_k| without sampling when every term's phase can be aligned,
+    else one FFT grid, then rounds of patches of the candidate cells sharing
+    64 * 64^2 points (64 x 64 each for up to 64 cells), every upper capped
+    by sum_k |c_k|.
     """
     return grid_bracket(f, f.support_radius)
 

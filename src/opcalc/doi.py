@@ -144,10 +144,6 @@ def schur_norm_bracket(
         upper = row_a * row_b + resid * math.sqrt(m * n)
     lower = float(np.abs(v).max())
 
-    def ratio(t):
-        denom = np.linalg.norm(t, 2)
-        return np.linalg.norm(v * t, 2) / denom if denom > 0 else 0.0
-
     candidates = [np.ones((m, n), dtype=complex)]
     if m == n:
         candidates.append(np.eye(m, dtype=complex))
@@ -167,8 +163,12 @@ def schur_norm_bracket(
         candidates.append(
             rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         )
-    for t in candidates:
-        lower = max(lower, float(ratio(t)))
+    # every operator norm ||Phi o T|| and ||T|| from one stacked SVD (LAPACK factors a
+    # stack matrix by matrix, so each largest singular value is that of norm(., 2))
+    t = np.stack(candidates)
+    norms = np.linalg.svd(np.concatenate([v * t, t]), compute_uv=False)[:, 0]
+    for num, denom in zip(norms[: len(t)], norms[len(t):]):
+        lower = max(lower, float(num / denom if denom > 0 else 0.0))
     if upper is not None and lower > upper + 1e-8:
         raise FactorizationError(lower - upper)
     return lower, upper

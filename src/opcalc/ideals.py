@@ -121,7 +121,11 @@ def schatten_sum(s: np.ndarray, p: float) -> float | np.ndarray:
 
 def schatten_norm(t: np.ndarray, p: float) -> float:
     """||T||_{S_p}; p = inf gives the operator norm."""
-    s = singular_values(t)
+    return _norm_of_spectrum(singular_values(t), p)
+
+
+def _norm_of_spectrum(s: np.ndarray, p: float) -> float:
+    """||T||_{S_p} from the nonincreasing singular values s of T."""
     if math.isinf(p):
         return float(s[0]) if s.size else 0.0
     return schatten_sum(s, p)

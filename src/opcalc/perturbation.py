@@ -10,6 +10,7 @@ asserted.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,18 +32,29 @@ from .doi import difference_via_doi, quasicommutator_via_doi
 from .ideals import (
     IdealSpec,
     _averaging_constants,
+    _norm_of_spectrum,
     boyd_index_estimate,
-    schatten_norm,
     schatten_sum,
     sigma_averages,
     singular_values,
 )
 from .sinc import row_energy, sinc_basis
-from .spectral import SpectralDecomposition, functional_calculus, random_normal
+from .spectral import (
+    SpectralDecomposition,
+    _gaussian,
+    _haar_unitaries,
+    _normal_draw,
+    _phase_fixed_q,
+    functional_calculus,
+)
 
 _SQRT3 = math.nextafter(math.sqrt(3.0), math.inf)  # >= sqrt(3), as sqrt rounds correctly
 
 DEFAULT_BOX = (-1.0, 1.0, -1.0, 1.0)
+# Trials that ``_pair_trials`` draws and factors together.  A block holds at
+# most three complex dim x dim matrices per trial (two Gaussians and a factor
+# R), about 12 MB at dim 64, whatever the trial count.
+_TRIAL_BLOCK = 64
 
 
 @dataclass
@@ -237,6 +249,38 @@ def _unit_sup_direction(dim: int, rng: np.random.Generator, rank: int | None = N
     return nu / np.abs(nu).max()
 
 
+@dataclass(frozen=True)
+class _PairDraw:
+    """A normal pair as drawn, before its unitaries are factored.
+
+    ``gaussians`` holds the Gaussian matrix of each unitary: one when the
+    pair shares its eigenbasis, else one per matrix.
+    """
+
+    lam1: np.ndarray
+    lam2: np.ndarray
+    gaussians: tuple
+
+    def factored(self, unitaries: list) -> tuple[SpectralDecomposition, SpectralDecomposition]:
+        """The pair, given the phase-fixed Q of each of ``gaussians`` in order."""
+        d1 = SpectralDecomposition(unitaries[0], self.lam1)
+        return d1, SpectralDecomposition(unitaries[-1], self.lam2)
+
+
+def _coupled_draw(dim: int, delta: float, rng: np.random.Generator,
+                  rank: int | None = None) -> _PairDraw:
+    """The draws of ``coupled_normal_pair``, in its order."""
+    lam, g = _normal_draw(dim, DEFAULT_BOX, rng)
+    return _PairDraw(lam, lam + delta * _unit_sup_direction(dim, rng, rank), (g,))
+
+
+def _independent_draw(dim: int, rng: np.random.Generator) -> _PairDraw:
+    """The draws of ``independent_normal_pair``, in its order."""
+    lam1, g1 = _normal_draw(dim, DEFAULT_BOX, rng)
+    lam2, g2 = _normal_draw(dim, DEFAULT_BOX, rng)
+    return _PairDraw(lam1, lam2, (g1, g2))
+
+
 def coupled_normal_pair(
     dim: int,
     delta: float,
@@ -250,13 +294,13 @@ def coupled_normal_pair(
     formed matrices differ by delta in operator norm only up to rounding
     (about 1e-16 for entries of order one).
     """
-    d1 = random_normal(dim, DEFAULT_BOX, rng=rng)
-    lam2 = d1.eigenvalues + delta * _unit_sup_direction(dim, rng, rank)
-    return d1, SpectralDecomposition(d1.unitary, lam2)
+    pair = _coupled_draw(dim, delta, rng, rank)
+    return pair.factored([_phase_fixed_q(g) for g in pair.gaussians])
 
 
 def independent_normal_pair(dim: int, rng: np.random.Generator):
-    return random_normal(dim, DEFAULT_BOX, rng=rng), random_normal(dim, DEFAULT_BOX, rng=rng)
+    pair = _independent_draw(dim, rng)
+    return pair.factored([_phase_fixed_q(g) for g in pair.gaussians])
 
 
 def trial_draws(seed: int, trials: int, dims: list[int] | None = None, key: tuple = ()):
@@ -271,6 +315,30 @@ def trial_draws(seed: int, trials: int, dims: list[int] | None = None, key: tupl
     for trial in range(trials):
         dim = None if dims is None else dims[trial % len(dims)]
         yield trial, dim, np.random.default_rng((seed, *key, trial))
+
+
+def _pair_trials(seed: int, trials: int, dims: list[int], draw, key: tuple = ()):
+    """Yield (trial, dim, d1, d2, *extra) for every trial of a suite that draws normal pairs.
+
+    ``draw(trial, dim, rng)`` draws the trial's inputs from its
+    ``trial_draws`` substream and returns (pair, *extra), pair from
+    ``_independent_draw`` or ``_coupled_draw``.  Trials are drawn in blocks
+    of ``_TRIAL_BLOCK``; the unitaries of a block are factored with one QR
+    call per dimension, and its trials are yielded in order.  QR draws
+    nothing and a stacked QR equals the per-matrix one bit for bit, so each
+    trial gets the inputs it would get drawn and factored alone.
+    """
+    draws = trial_draws(seed, trials, dims, key)
+    while block := [(t, dim, draw(t, dim, rng))
+                    for t, dim, rng in itertools.islice(draws, _TRIAL_BLOCK)]:
+        unitaries = iter(_haar_unitaries([g for *_, (pair, *_) in block for g in pair.gaussians]))
+        for trial, dim, (pair, *extra) in block:
+            yield (trial, dim, *pair.factored([next(unitaries) for _ in pair.gaussians]), *extra)
+
+
+def _draw_with_factor(trial: int, dim: int, rng: np.random.Generator):
+    """An independent pair, then a complex Gaussian factor R."""
+    return _independent_draw(dim, rng), _gaussian(dim, rng)
 
 
 def experiment_lipschitz(
@@ -294,11 +362,12 @@ def experiment_lipschitz(
         ["trial", "dim", "delta_op", "quotient_op", "quotient_s1", "certified"],
         meta={"lipschitz_constant": lip, "violations": 0},
     )
-    for trial, dim, rng in trial_draws(seed, trials, dims):
+    def draw(trial, dim, rng):
         if trial % 2 == 0:
-            d1, d2 = independent_normal_pair(dim, rng)
-        else:
-            d1, d2 = coupled_normal_pair(dim, float(2.0 ** -(trial % 11)), rng)
+            return (_independent_draw(dim, rng),)
+        return (_coupled_draw(dim, float(2.0 ** -(trial % 11)), rng),)
+
+    for trial, dim, d1, d2 in _pair_trials(seed, trials, dims, draw):
         dn = d1.matrix - d2.matrix
         diff = functional_calculus(f, d1) - functional_calculus(f, d2)
         s_dn = singular_values(dn)  # norm(dn, 2) is the max of this same SVD
@@ -364,8 +433,10 @@ def experiment_holder_sweep(
         certified = _modulus_bound_from_uppers(uppers, delta)
         measured = 0.0
         violated = False
-        for _, dim, rng in trial_draws(seed, trials, dims, (grid_idx,)):
-            d1, d2 = coupled_normal_pair(dim, delta, rng)
+        def draw(trial, dim, rng):
+            return (_coupled_draw(dim, delta, rng),)
+
+        for _, dim, d1, d2 in _pair_trials(seed, trials, dims, draw, (grid_idx,)):
             diff = functional_calculus(f, d1) - functional_calculus(f, d2)
             norm = float(np.linalg.norm(diff, 2))
             measured = max(measured, norm)
@@ -408,14 +479,15 @@ def experiment_schatten_decay(
     c_decay = 0.0
     c_major = 0.0
     c_head = 0.0
-    for trial, dim, rng in trial_draws(seed, trials, dims):
+    def draw(trial, dim, rng):
         kind = trial % 3
         if kind == 0:
-            d1, d2 = coupled_normal_pair(dim, float(2.0 ** -(trial % 7)), rng, rank=1)
-        elif kind == 1:
-            d1, d2 = coupled_normal_pair(dim, float(2.0 ** -(trial % 7)), rng)
-        else:
-            d1, d2 = independent_normal_pair(dim, rng)
+            return (_coupled_draw(dim, float(2.0 ** -(trial % 7)), rng, rank=1),)
+        if kind == 1:
+            return (_coupled_draw(dim, float(2.0 ** -(trial % 7)), rng),)
+        return (_independent_draw(dim, rng),)
+
+    for trial, dim, d1, d2 in _pair_trials(seed, trials, dims, draw):
         dn = d1.matrix - d2.matrix
         diff = functional_calculus(f, d1) - functional_calculus(f, d2)
         s_diff = singular_values(diff)
@@ -465,9 +537,7 @@ def experiment_quasicommutator(
         ["trial", "dim", "measured", "residual", "max_quasicomm", "certified"],
         meta={"lipschitz_constant": lip, "violations": 0},
     )
-    for trial, dim, rng in trial_draws(seed, trials, dims):
-        d1, d2 = independent_normal_pair(dim, rng)
-        r = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    for trial, dim, d1, d2, r in _pair_trials(seed, trials, dims, _draw_with_factor):
         lhs = functional_calculus(f, d1) @ r - r @ functional_calculus(f, d2)
         rhs = quasicommutator_via_doi(f, d1, d2, r)
         scale = 1.0 + float(np.linalg.norm(lhs))
@@ -505,18 +575,20 @@ def experiment_fuglede_ratio(
         ["p", "trial", "ratio"],
         meta={"violations": 0, "skipped": 0, "max_ratio": {}},
     )
-    for p in p_list:
+    scores = [[] for _ in p_list]  # per p, (trial, ratio or None) in trial order
+    for trial, _, d1, d2, r in _pair_trials(seed, trials, dims, _draw_with_factor):
+        x = d1.matrix @ r - r @ d2.matrix
+        y = d1.matrix.conj().T @ r - r @ d2.matrix.conj().T
+        s_x, s_y = singular_values(x), singular_values(y)
+        for p, rows in zip(p_list, scores):
+            denom = _norm_of_spectrum(s_x, p)
+            rows.append((trial, None if denom < 1e-14 else _norm_of_spectrum(s_y, p) / denom))
+    for p, rows in zip(p_list, scores):
         worst = 0.0
-        for trial, dim, rng in trial_draws(seed, trials, dims):
-            d1, d2 = independent_normal_pair(dim, rng)
-            r = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            x = d1.matrix @ r - r @ d2.matrix
-            y = d1.matrix.conj().T @ r - r @ d2.matrix.conj().T
-            denom = schatten_norm(x, p)
-            if denom < 1e-14:
+        for trial, ratio in rows:
+            if ratio is None:
                 rep.meta["skipped"] += 1
                 continue
-            ratio = schatten_norm(y, p) / denom
             if p == 2.0 and abs(ratio - 1.0) > 1e-10:
                 rep.meta["violations"] += 1
             worst = max(worst, ratio)
@@ -539,9 +611,11 @@ def experiment_doi_identity(
         ["trial", "dim", "residual", "scale"],
         meta={"sigma": sigma, "tol": tol, "violations": 0},
     )
-    for trial, dim, rng in trial_draws(seed, trials, dims):
+    def draw(trial, dim, rng):
         f = random_trig_polynomial(sigma, 12, seed=None, rng=rng)
-        d1, d2 = independent_normal_pair(dim, rng)
+        return _independent_draw(dim, rng), f
+
+    for trial, dim, d1, d2, f in _pair_trials(seed, trials, dims, draw):
         f1 = functional_calculus(f, d1)
         f2 = functional_calculus(f, d2)
         rhs = difference_via_doi(f, d1, d2)

@@ -154,12 +154,51 @@ def functional_calculus(f, dec: SpectralDecomposition) -> np.ndarray:
     return (dec.unitary * fvals) @ dec.unitary.conj().T
 
 
+def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A dim x dim complex Gaussian matrix: the real part drawn first, then the imaginary part."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
+    """Q of g = QR, columns scaled so that R's diagonal is positive; a (k, n, n) stack in one call.
+
+    LAPACK factors a stack matrix by matrix, so each Q equals that of its
+    own call bit for bit.
+    """
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _haar_unitaries(gaussians: list[np.ndarray]) -> list[np.ndarray]:
+    """``haar_unitary``'s unitary for each Gaussian matrix, one stacked QR per size."""
+    by_dim: dict[int, list[int]] = {}
+    for i, g in enumerate(gaussians):
+        by_dim.setdefault(g.shape[0], []).append(i)
+    out = [None] * len(gaussians)
+    for idx in by_dim.values():
+        for i, u in zip(idx, _phase_fixed_q(np.stack([gaussians[i] for i in idx]))):
+            out[i] = u
+    return out
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """QR of a complex Gaussian matrix, phase-fixed to make R's diagonal positive."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _phase_fixed_q(_gaussian(dim, rng))
+
+
+def _normal_draw(dim: int, spectrum_box: tuple[float, float, float, float],
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``random_normal``'s draws in its order: the eigenvalues, then the Gaussian matrix.
+
+    The unitary is the Gaussian matrix's phase-fixed Q; QR draws nothing, so
+    it can be taken later, for many draws at once.
+    """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    x0, x1, y0, y1 = spectrum_box
+    lam = rng.uniform(x0, x1, dim) + 1j * rng.uniform(y0, y1, dim)
+    return lam, _gaussian(dim, rng)
 
 
 def random_normal(
@@ -174,11 +213,7 @@ def random_normal(
     given the seed; the unitary comes from a phase-fixed QR factorization,
     and the matrix U diag(lambda) U* is formed only when it is read.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
     if rng is None:
         rng = np.random.default_rng(seed)
-    x0, x1, y0, y1 = spectrum_box
-    lam = rng.uniform(x0, x1, dim) + 1j * rng.uniform(y0, y1, dim)
-    u = haar_unitary(dim, rng)
-    return SpectralDecomposition(unitary=u, eigenvalues=lam)
+    lam, g = _normal_draw(dim, spectrum_box, rng)
+    return SpectralDecomposition(unitary=_phase_fixed_q(g), eigenvalues=lam)

@@ -416,7 +416,18 @@ def _oracle_cases():
     cases.append(TrigSlice(1.0, {1: 0.5 * cmath.exp(-1j * t0), -1: 0.5 * cmath.exp(1j * t0)}))
     cases.append(TrigPolynomial(1.0, {(j, k): 0.25 * cmath.exp(-1j * (j + k) * t0)
                                       for j in (1, -1) for k in (1, -1)}))
-    return cases
+    return cases + list(RIDGES.values())
+
+
+# |g| constant along a line, or nearly: more than 64 candidate cells (512 and 72),
+# which the auto policy resamples on smaller patches; and an exact two-term piece
+RIDGES = {
+    "three-term-parallel": TrigPolynomial(1.0, {(1, 1): 1.0, (-1, 1): 0.5j, (0, 1): 0.25}),
+    "five-term-near": TrigPolynomial(0.5, {(1, 0): 1.09, (0, 1): 1.06j, (2, -1): 0.25,
+                                           (-1, 2): 0.2 - 0.1j, (1, 1): 0.15}),
+    "two-term-piece": lp_piece(TrigPolynomial(0.5, {(2, -1): 1.0 - 2.0j, (-1, 3): 0.7,
+                                                    (9, 9): 0.3}), 0),
+}
 
 
 class TestSecondOrderBracket:
@@ -455,17 +466,25 @@ class TestSecondOrderBracket:
             assert old_lower - slack <= lower <= old_lower
             assert old_lower <= upper <= old_upper
 
+    @pytest.mark.parametrize("g", RIDGES.values(), ids=RIDGES.keys())
+    def test_auto_width_on_ridges(self, g):
+        lower, upper = sup_norm(g)
+        assert upper - lower <= 1e-5 * lower
+
     @pytest.mark.parametrize("seed", range(12))
     def test_auto_width_on_certify_shape(self, seed):
         lower, upper = sup_norm(random_trig_polynomial(4.0, 12, seed=seed))
         assert upper - lower <= 1e-6 * lower
 
-    @pytest.mark.parametrize("f", [
-        EXP_IX,
-        TrigPolynomial(1.0, {(1, 0): 1.0, (0, 1): 0.5j}),
-        random_trig_polynomial(4.0, 12, seed=1),
-    ], ids=["one-term", "two-term", "certify-shape"])
-    def test_auto_policy_samples_one_grid(self, monkeypatch, f):
+    @pytest.mark.parametrize("f, grids", [
+        (EXP_IX, []),
+        (TrigPolynomial(1.0, {(1, 0): 1.0, (0, 1): 0.5j}), []),
+        (TrigPolynomial(1.0, {(1, 0): 1.0, (0, 1): 0.5j, (-1, -1): 0.25}), []),
+        (TrigPolynomial(1.0, {(1, 1): 1.0, (-1, 1): 0.5j, (0, 1): 0.25}), [256]),
+        (random_trig_polynomial(4.0, 12, seed=1), [256]),
+    ], ids=["one-term", "two-term", "three-term-general", "three-term-ridge", "certify-shape"])
+    def test_auto_policy_samples_at_most_one_grid(self, monkeypatch, f, grids):
+        # the exact shapes (frequency differences linearly independent) sample none
         calls = []
         original = TrigPolynomial.grid_values
 
@@ -475,7 +494,7 @@ class TestSecondOrderBracket:
 
         monkeypatch.setattr(TrigPolynomial, "grid_values", counted)
         lower, upper = sup_norm(f)
-        assert calls == [256]
+        assert calls == grids
         assert lower <= upper
 
     def test_two_term_ridge_is_capped_by_the_coefficient_sum(self):

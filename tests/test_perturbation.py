@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from opcalc import bandlimited, ideals, perturbation
 from opcalc.bandlimited import TrigPolynomial, band_uppers, lp_pieces, random_trig_polynomial
+from opcalc.cli import RunConfig, report_to_csv, report_to_json
 from opcalc.perturbation import (
     ConvexBody,
     ExperimentReport,
@@ -20,6 +22,8 @@ from opcalc.perturbation import (
     experiment_quasicommutator,
     experiment_schatten_decay,
     extend_by_projection,
+    independent_normal_pair,
+    SUITES,
     project_convex,
     trial_draws,
 )
@@ -195,6 +199,113 @@ class TestTrialDraws:
         draws = list(trial_draws(3, 2))
         assert [d for _, d, _ in draws] == [None, None]
         assert draws[1][2].random() == np.random.default_rng((3, 1)).random()
+
+
+BLOCK = perturbation._TRIAL_BLOCK
+
+
+def _factored_alone(g):
+    """A Gaussian matrix's phase-fixed Q from its own QR call."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _per_trial(seed, trials, dims, draw, key=()):
+    """Reference driver: every trial drawn and factored alone, in trial order."""
+    for trial, dim, rng in trial_draws(seed, trials, dims, key):
+        pair, *extra = draw(trial, dim, rng)
+        yield (trial, dim, *pair.factored([_factored_alone(g) for g in pair.gaussians]), *extra)
+
+
+def _fuglede_per_p(dims, p_list, trials, seed):
+    """The fuglede-ratio suite drawing and decomposing every trial once per p."""
+    rep = ExperimentReport("fuglede-ratio", seed, ["p", "trial", "ratio"],
+                           meta={"violations": 0, "skipped": 0, "max_ratio": {}})
+    for p in p_list:
+        worst = 0.0
+        for trial, dim, rng in trial_draws(seed, trials, dims):
+            d1, d2 = independent_normal_pair(dim, rng)
+            r = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            x = d1.matrix @ r - r @ d2.matrix
+            y = d1.matrix.conj().T @ r - r @ d2.matrix.conj().T
+            denom = ideals.schatten_norm(x, p)
+            if denom < 1e-14:
+                rep.meta["skipped"] += 1
+                continue
+            ratio = ideals.schatten_norm(y, p) / denom
+            if p == 2.0 and abs(ratio - 1.0) > 1e-10:
+                rep.meta["violations"] += 1
+            worst = max(worst, ratio)
+            rep.add(p, trial, ratio)
+        rep.meta["max_ratio"][str(p)] = worst
+    return rep
+
+
+def _suite_outputs(eid, trials):
+    cfg = RunConfig(eid, seed=5, dims=[2, 3, 5], trials=trials, sigma=4.0,
+                    delta_grid=[0.5, 0.125], p=[1.0, 2.0, math.inf] if eid == "fuglede-ratio" else [2.0])
+    cfg.validate()
+    rep = SUITES[eid](cfg)
+    return report_to_csv(rep), report_to_json(rep)
+
+
+PAIR_SUITES = ["doi-verify", "lip-bound", "holder-sweep", "schatten-decay", "qc-verify",
+               "fuglede-ratio"]
+
+
+class TestPairTrials:
+    @pytest.mark.parametrize("trials", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("eid", PAIR_SUITES)
+    def test_blocks_equal_trials_factored_alone(self, monkeypatch, eid, trials):
+        blocked = _suite_outputs(eid, trials)
+        monkeypatch.setattr(perturbation, "_pair_trials", _per_trial)
+        assert blocked == _suite_outputs(eid, trials)
+
+    @pytest.mark.parametrize("trials", [0, 1, BLOCK + 1])
+    def test_fuglede_equals_the_per_p_loop(self, trials):
+        dims, p_list = [2, 3, 4], [1.0, 2.0, math.inf, 1.5]
+        got = experiment_fuglede_ratio(dims, p_list, trials, seed=7)
+        want = _fuglede_per_p(dims, p_list, trials, seed=7)
+        assert report_to_csv(got) == report_to_csv(want)
+        assert report_to_json(got) == report_to_json(want)
+
+    def test_fuglede_draws_each_trial_once(self, monkeypatch):
+        drawn = []
+        original = perturbation.trial_draws
+
+        def counted(*args, **kwargs):
+            for draw in original(*args, **kwargs):
+                drawn.append(draw[0])
+                yield draw
+
+        monkeypatch.setattr(perturbation, "trial_draws", counted)
+        experiment_fuglede_ratio([2, 3], [1.0, 2.0, math.inf], 10, seed=1)
+        assert drawn == list(range(10))
+
+    def test_yields_every_trial_in_order(self):
+        def draw(trial, dim, rng):
+            return perturbation._coupled_draw(dim, 0.5, rng), trial
+
+        got = [(t, dim, extra) for t, dim, _, _, extra in
+               perturbation._pair_trials(2, 2 * BLOCK + 3, [1, 4, 2], draw, (9,))]
+        assert got == [(t, [1, 4, 2][t % 3], t) for t in range(2 * BLOCK + 3)]
+
+    def test_peak_memory_does_not_grow_with_blocks(self):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                for _ in perturbation._pair_trials(0, trials, [32], perturbation._draw_with_factor):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the last trial a caller holds keeps its block's stack of unitaries alive
+        # while the next block is drawn, so the peak is reached by the second block
+        two = peak(2 * BLOCK)
+        assert two > BLOCK * 3 * 32 * 32 * 16  # the block's matrices are traced
+        assert peak(6 * BLOCK) <= 1.05 * two
 
 
 class TestExperimentReport:

@@ -7,7 +7,11 @@ from opcalc.bandlimited import random_trig_polynomial
 from opcalc.errors import IllSeparatedSpectrumError, NotNormalError
 from opcalc.spectral import (
     SpectralDecomposition,
+    _gaussian,
+    _haar_unitaries,
+    _phase_fixed_q,
     diagonalize,
+    haar_unitary,
     functional_calculus,
     normality_defect,
     parts,
@@ -187,3 +191,35 @@ class TestVerify:
         bad_u[0, 0] += 9e9
         with pytest.raises(IllSeparatedSpectrumError):
             SpectralDecomposition(bad_u, dec.eigenvalues).verify()
+
+
+class TestStackedLapack:
+    """A stack of matrices is factored matrix by matrix: stacked and single calls agree bitwise."""
+
+    SHAPES = [(n, k) for n in (1, 2, 3, 7, 8, 16) for k in (1, 2, 17, 256)]
+    SHAPES += [(n, k) for n in (32, 64) for k in (1, 2, 17)]
+
+    @pytest.mark.parametrize("n, k", SHAPES)
+    def test_qr_and_svd(self, n, k):
+        rng = np.random.default_rng((n, k))
+        stack = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        unitaries = _phase_fixed_q(stack)
+        spectra = np.linalg.svd(stack, compute_uv=False)
+        for g, u, s in zip(stack, unitaries, spectra):
+            q, r = np.linalg.qr(g)
+            d = np.diagonal(r)
+            assert np.array_equal(u, q * (d / np.abs(d)))
+            assert np.array_equal(s, np.linalg.svd(g, compute_uv=False))
+
+    def test_haar_unitaries_keep_order_across_sizes(self):
+        rng = np.random.default_rng(3)
+        gaussians = [_gaussian(n, rng) for n in (3, 5, 3, 1, 5, 5)]
+        for g, u in zip(gaussians, _haar_unitaries(gaussians)):
+            assert np.array_equal(u, _phase_fixed_q(g))
+
+    def test_random_normal_draws_eigenvalues_then_gaussian(self):
+        dec = random_normal(4, seed=8)
+        rng = np.random.default_rng(8)
+        lam = rng.uniform(-1.0, 1.0, 4) + 1j * rng.uniform(-1.0, 1.0, 4)
+        assert np.array_equal(dec.eigenvalues, lam)
+        assert np.array_equal(dec.unitary, haar_unitary(4, rng))
