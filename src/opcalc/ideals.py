@@ -51,8 +51,9 @@ class IdealSpec:
 
     @classmethod
     def power_scale(cls, p: float, base: "IdealSpec") -> "IdealSpec":
-        if p <= 0.0:
-            raise ValueError("p must be positive")
+        # Psi_base(s^p)^(1/p) has no meaning at p = inf
+        if not 0.0 < p < math.inf:
+            raise ValueError("p must be positive and finite")
         return cls("PowerScale", p=float(p), base=base)
 
     def psi(self, values: np.ndarray) -> float | np.ndarray:
@@ -62,7 +63,8 @@ class IdealSpec:
         roots taken one by one give a spectrum the same Psi alone or in a stack.
         """
         s = np.ascontiguousarray(values, dtype=float)
-        if self.variant == "Sp":
+        # weak ell^inf, sup_j j^(1/inf) s_j, is s_0 as well
+        if self.variant == "Sp" or (self.variant == "SpWeak" and math.isinf(self.p)):
             return schatten_sum(s, self.p)
         if self.variant == "SpWeak":
             j = np.arange(1, s.shape[-1] + 1, dtype=float)
@@ -115,25 +117,17 @@ def _root(x, p: float) -> float | np.ndarray:
 
 
 def schatten_sum(s: np.ndarray, p: float) -> float | np.ndarray:
-    """(sum_j s_j^p)^(1/p) over the last axis of singular values s, for finite p > 0."""
-    return _root(np.sum(np.ascontiguousarray(s, dtype=float) ** p, axis=-1), p)
+    """||T||_{S_p} from the singular values s of T along the last axis, 0 < p <= inf.
 
-
-def schatten_norm(t: np.ndarray, p: float) -> float:
-    """||T||_{S_p}; p = inf gives the operator norm."""
-    return _norm_of_spectrum(singular_values(t), p)
-
-
-def _norm_of_spectrum(s: np.ndarray, p: float) -> float:
-    """||T||_{S_p} from the nonincreasing singular values s of T."""
+    Finite p gives (sum_j s_j^p)^(1/p), p = inf the largest value s[..., 0];
+    a float for one spectrum, an array for a stack.  The Ky-Fan norm
+    S_p^l of T is this sum over the head s[..., : l + 1].
+    """
+    s = np.ascontiguousarray(s, dtype=float)
     if math.isinf(p):
-        return float(s[0]) if s.size else 0.0
-    return schatten_sum(s, p)
-
-
-def kyfan_p_norm(t: np.ndarray, p: float, l: int) -> float:
-    """Head sum norm (sum_{j<=l} s_j^p)^{1/p}."""
-    return schatten_sum(singular_values(t)[: l + 1], p)
+        top = s[..., 0].copy()
+        return top if top.ndim else float(top)
+    return _root(np.sum(s**p, axis=-1), p)
 
 
 def default_test_family() -> np.ndarray:
@@ -285,4 +279,5 @@ def kyfan_holder_check(
         raise ValueError("exponents must satisfy 1/p + 1/q = 1/r")
     t1 = np.asarray(t1, dtype=complex)
     t2 = np.asarray(t2, dtype=complex)
-    return kyfan_p_norm(t1 @ t2, r, l) - kyfan_p_norm(t1, p, l) * kyfan_p_norm(t2, q, l)
+    heads = [singular_values(t)[: l + 1] for t in (t1 @ t2, t1, t2)]
+    return schatten_sum(heads[0], r) - schatten_sum(heads[1], p) * schatten_sum(heads[2], q)

@@ -32,7 +32,6 @@ from .doi import difference_via_doi, quasicommutator_via_doi
 from .ideals import (
     IdealSpec,
     _averaging_constants,
-    _norm_of_spectrum,
     boyd_index_estimate,
     schatten_sum,
     sigma_averages,
@@ -44,7 +43,6 @@ from .spectral import (
     _gaussian,
     _haar_unitaries,
     _normal_draw,
-    _phase_fixed_q,
     functional_calculus,
 )
 
@@ -269,38 +267,24 @@ class _PairDraw:
 
 def _coupled_draw(dim: int, delta: float, rng: np.random.Generator,
                   rank: int | None = None) -> _PairDraw:
-    """The draws of ``coupled_normal_pair``, in its order."""
+    """A normal pair sharing an eigenbasis with ||N1 - N2|| = delta.
+
+    Draws ``_normal_draw``'s eigenvalues and Gaussian matrix, then the
+    direction of the shift (supported on ``rank`` random eigenvalues when
+    given).  What is exact is the eigenvalue shift: lambda2 - lambda1 has
+    sup-modulus delta.  The matrices U diag(lambda) U* are formed when they
+    are read, so they differ by delta in operator norm only up to rounding
+    (about 1e-16 for entries of order one).
+    """
     lam, g = _normal_draw(dim, DEFAULT_BOX, rng)
     return _PairDraw(lam, lam + delta * _unit_sup_direction(dim, rng, rank), (g,))
 
 
 def _independent_draw(dim: int, rng: np.random.Generator) -> _PairDraw:
-    """The draws of ``independent_normal_pair``, in its order."""
+    """A pair of independent ``_normal_draw``s, the first drawn first."""
     lam1, g1 = _normal_draw(dim, DEFAULT_BOX, rng)
     lam2, g2 = _normal_draw(dim, DEFAULT_BOX, rng)
     return _PairDraw(lam1, lam2, (g1, g2))
-
-
-def coupled_normal_pair(
-    dim: int,
-    delta: float,
-    rng: np.random.Generator,
-    rank: int | None = None,
-) -> tuple[SpectralDecomposition, SpectralDecomposition]:
-    """Normal pair sharing an eigenbasis with ||N1 - N2|| = delta.
-
-    What is exact is the eigenvalue shift: lambda2 - lambda1 has sup-modulus
-    delta.  N2 is formed as U diag(lambda2) U* when it is read, so the
-    formed matrices differ by delta in operator norm only up to rounding
-    (about 1e-16 for entries of order one).
-    """
-    pair = _coupled_draw(dim, delta, rng, rank)
-    return pair.factored([_phase_fixed_q(g) for g in pair.gaussians])
-
-
-def independent_normal_pair(dim: int, rng: np.random.Generator):
-    pair = _independent_draw(dim, rng)
-    return pair.factored([_phase_fixed_q(g) for g in pair.gaussians])
 
 
 def trial_draws(seed: int, trials: int, dims: list[int] | None = None, key: tuple = ()):
@@ -402,7 +386,7 @@ def experiment_holder_sweep(
     the certified one, and the last two columns give the power-modulus and
     capped-modulus envelopes for log-log plots.
 
-    Each trial pair comes from ``coupled_normal_pair`` on the RNG substream
+    Each trial pair comes from ``_coupled_draw`` on the RNG substream
     (seed, grid_idx, trial), drawn anew for every delta.  The maxima at
     different deltas therefore come from different matrices and need not
     follow a log-log slope <= 1 from one grid point to the next.  What is
@@ -581,8 +565,8 @@ def experiment_fuglede_ratio(
         y = d1.matrix.conj().T @ r - r @ d2.matrix.conj().T
         s_x, s_y = singular_values(x), singular_values(y)
         for p, rows in zip(p_list, scores):
-            denom = _norm_of_spectrum(s_x, p)
-            rows.append((trial, None if denom < 1e-14 else _norm_of_spectrum(s_y, p) / denom))
+            denom = schatten_sum(s_x, p)
+            rows.append((trial, None if denom < 1e-14 else schatten_sum(s_y, p) / denom))
     for p, rows in zip(p_list, scores):
         worst = 0.0
         for trial, ratio in rows:

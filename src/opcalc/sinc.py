@@ -27,16 +27,33 @@ DEFAULT_TERMS = 2000
 # of their centre to absolute tolerance _QUAD_TOL; the tails are closed-form.
 _QUAD_TOL = 1e-8
 _HALF_PERIODS = 50.0
+# pi = _PI_HI + _PI_LO to about 1e-23, with _PI_HI * n exact for |n| < 2^29
+_PI_HI = float(np.float32(math.pi))
+_PI_LO = (math.pi - _PI_HI) + 1.2246467991473532e-16  # the second term is pi - math.pi
 
 
 def sinc_basis(sigma: float, n, y):
-    """sin(sigma*y)/(sigma*y - pi*n) with the removable singularity filled in."""
+    """sin(sigma*y)/(sigma*y - pi*n) with the removable singularity filled in.
+
+    As sin(sigma*y - pi*n) = (-1)^n sin(sigma*y) exactly, each point takes
+    one sine and each entry one division by u = sigma*y - pi*n.  u is formed
+    with pi split in two, so it does not carry the rounding of pi*n, which
+    the quotient would magnify at small |u|.  Where |u| < 1 (at most one n
+    per point) the quotient still loses digits as u -> 0, and the entry is
+    (-1)^n sinc(u/pi).
+    """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     n = np.asarray(n)
-    y = np.asarray(y, dtype=float)
-    u = sigma * y - math.pi * n
-    res = (-1.0) ** n * np.sinc(u / math.pi)
+    sy = sigma * np.asarray(y, dtype=float)
+    u = np.asarray(sy - _PI_HI * n)
+    u -= _PI_LO * n
+    near = np.abs(u) < 1.0
+    u_near, n_near = u[near], np.broadcast_to(n, u.shape)[near]
+    # the quotients overwrite u, so a factorization's large basis costs one array
+    u[near] = 1.0
+    res = np.divide(np.sin(sy), u, out=u)
+    res[near] = (-1.0) ** n_near * np.sinc(u_near / math.pi)
     return res if res.ndim else float(res)
 
 
@@ -62,7 +79,7 @@ def reconstruct_dd(
     ns = np.arange(-n_terms, n_terms + 1)
     t = math.pi * ns / sigma
     dd = divided_difference(fslice, x, t)
-    value = complex(np.sum(dd * np.sinc((sigma * y - math.pi * ns) / math.pi)))
+    value = complex(np.sum(dd * (-1.0) ** ns * sinc_basis(sigma, ns, y)))
     tail = expansion_tail_bound(
         fslice.sup_bracket()[1], sigma, sigma * x, sigma * y, n_terms
     )
@@ -95,10 +112,29 @@ def _tail_kernel(x: float, y: float, lo: float, hi: float) -> float:
     return (math.log1p(d / (hi - x)) + math.log1p(d / (y - lo))) / d
 
 
-def _quad_complex(fn, lo, hi, points, tol):
-    re, re_err = quad(lambda t: fn(t).real, lo, hi, points=points, epsabs=tol, limit=400)
-    im, im_err = quad(lambda t: fn(t).imag, lo, hi, points=points, epsabs=tol, limit=400)
-    return complex(re, im), re_err + im_err
+def _core_integral(integrand, sigma: float, centre: float, points):
+    """(lo, hi, core, core_err): the integral of integrand over a window about centre.
+
+    The window [lo, hi] spans _HALF_PERIODS half-periods pi / sigma on each
+    side of centre.  The real and imaginary parts of the integrand are
+    integrated adaptively to absolute tolerance _QUAD_TOL, with breakpoints
+    at the points (clipped to the window); ``QuadratureError`` if the
+    reported error misses that tolerance, ``ValueError`` unless sigma > 0.
+    """
+    if sigma <= 0.0:
+        raise ValueError("sigma must be positive")
+    half_width = _HALF_PERIODS * math.pi / sigma
+    lo, hi = centre - half_width, centre + half_width
+    pts = sorted({min(max(p, lo), hi) for p in points})
+    # with quad's default epsrel it may stop at 1.5e-8 relative, which misses
+    # the absolute tolerance once the integral exceeds about 7
+    kw = dict(points=pts, epsabs=_QUAD_TOL, epsrel=0.0, limit=400)
+    re, re_err = quad(lambda t: integrand(t).real, lo, hi, **kw)
+    im, im_err = quad(lambda t: integrand(t).imag, lo, hi, **kw)
+    core, core_err = complex(re, im), re_err + im_err
+    if core_err > max(10.0 * _QUAD_TOL, 1e-12 * abs(core)):
+        raise QuadratureError(core_err, _QUAD_TOL)
+    return lo, hi, core, core_err
 
 
 def row_energy_integral(
@@ -112,16 +148,10 @@ def row_energy_integral(
     component of |f(x) - f(t)|^2 is integrated in closed form and the
     oscillating remainder is folded into the reported error bound.
     """
-    half_width = _HALF_PERIODS * math.pi / sigma
-    lo, hi = x - half_width, x + half_width
+    lo, hi, core, core_err = _core_integral(
+        lambda t: abs(divided_difference(fslice, x, t)) ** 2, sigma, x, [x]
+    )
     fx = complex(fslice.eval(x))
-
-    def integrand(t):
-        return abs(divided_difference(fslice, x, t)) ** 2
-
-    core, core_err = quad(integrand, lo, hi, points=[x], epsabs=_QUAD_TOL, limit=400)
-    if core_err > max(10.0 * _QUAD_TOL, 1e-12 * abs(core)):
-        raise QuadratureError(core_err, _QUAD_TOL)
     # |f(x) - f(t)|^2 = |f(x)|^2 - 2 Re(conj(f(x)) f(t)) + |f(t)|^2;
     # its mean value over t drives the 1/t^2 tails.
     amps = fslice.coeffs
@@ -140,7 +170,7 @@ def row_energy_integral(
             if m1 != m2:
                 w = abs(m1 - m2) * fslice.h
                 osc += 2.0 * abs(c1) * abs(c2) / w * edge_sq
-    value = (core + dc * tails) / (math.pi * sigma)
+    value = (core.real + dc * tails) / (math.pi * sigma)
     err = (core_err + osc) / (math.pi * sigma)
     return value, err
 
@@ -158,22 +188,10 @@ def reproducing_integral(
     truncated oscillatory tails; the non-oscillating tail component (present
     when f has frequencies at the band edge +-sigma) is added in closed form.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    half_width = _HALF_PERIODS * math.pi / sigma
-    c = (x + y) / 2.0
-    lo, hi = c - half_width, c + half_width
-
     def integrand(t):
-        dd = divided_difference(fslice, x, t)
-        u = y - t
-        kern = sigma * np.sinc(sigma * u / math.pi)
-        return dd * kern
+        return divided_difference(fslice, x, t) * (sigma * sinc_basis(sigma, 0, y - t))
 
-    pts = sorted({min(max(x, lo), hi), min(max(y, lo), hi)})
-    core, core_err = _quad_complex(integrand, lo, hi, pts, _QUAD_TOL)
-    if core_err > max(10.0 * _QUAD_TOL, 1e-12 * abs(core)):
-        raise QuadratureError(core_err, _QUAD_TOL)
+    lo, hi, core, core_err = _core_integral(integrand, sigma, (x + y) / 2.0, [x, y])
     fx = complex(fslice.eval(x))
     # numerator (f(x) - f(t)) sin(sigma(y - t)) expanded in frequencies of t:
     # only amplitudes of f exactly at the band edge produce a mean component.
@@ -208,18 +226,13 @@ def sinc_mass_integral(sigma: float, y: float) -> tuple[float, float]:
 
     The mean value 1/2 of sin^2 is integrated in closed form over the tails.
     """
-    half_width = _HALF_PERIODS * math.pi / sigma
-    lo, hi = y - half_width, y + half_width
-
-    def integrand(t):
-        u = y - t
-        return (sigma * np.sinc(sigma * u / math.pi)) ** 2
-
-    core, core_err = quad(integrand, lo, hi, points=[y], epsabs=_QUAD_TOL, limit=400)
+    lo, hi, core, core_err = _core_integral(
+        lambda t: (sigma * sinc_basis(sigma, 0, y - t)) ** 2, sigma, y, [y]
+    )
     tails = 0.5 * _tail_kernel(y, y, lo, hi)
     edge_sq = 1.0 / (hi - y) ** 2 + 1.0 / (y - lo) ** 2
     osc = 2.0 * 0.5 / (2.0 * sigma) * edge_sq
-    return (core + tails) / (math.pi * sigma), (core_err + osc) / (math.pi * sigma)
+    return (core.real + tails) / (math.pi * sigma), (core_err + osc) / (math.pi * sigma)
 
 
 def haagerup_factorization(

@@ -171,7 +171,7 @@ def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
 
 
 def _haar_unitaries(gaussians: list[np.ndarray]) -> list[np.ndarray]:
-    """``haar_unitary``'s unitary for each Gaussian matrix, one stacked QR per size."""
+    """The phase-fixed Q of each Gaussian matrix, in order; one stacked QR per size."""
     by_dim: dict[int, list[int]] = {}
     for i, g in enumerate(gaussians):
         by_dim.setdefault(g.shape[0], []).append(i)
@@ -180,11 +180,6 @@ def _haar_unitaries(gaussians: list[np.ndarray]) -> list[np.ndarray]:
         for i, u in zip(idx, _phase_fixed_q(np.stack([gaussians[i] for i in idx]))):
             out[i] = u
     return out
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """QR of a complex Gaussian matrix, phase-fixed to make R's diagonal positive."""
-    return _phase_fixed_q(_gaussian(dim, rng))
 
 
 def _normal_draw(dim: int, spectrum_box: tuple[float, float, float, float],

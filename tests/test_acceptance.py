@@ -30,7 +30,8 @@ from opcalc.ideals import (
     boyd_index_estimate,
     dilate_spectrum,
     kyfan_holder_check,
-    schatten_norm,
+    schatten_sum,
+    singular_values,
 )
 from opcalc.perturbation import (
     experiment_fuglede_ratio,
@@ -219,7 +220,8 @@ def test_criterion_7_ideals():
         t1 = trng.standard_normal((5, 5)) + 1j * trng.standard_normal((5, 5))
         t2 = trng.standard_normal((5, 5)) + 1j * trng.standard_normal((5, 5))
         resid = kyfan_holder_check(t1, t2, 2.0, 2.0, 1.0, 3)
-        kyfan_worst = max(kyfan_worst, resid / (schatten_norm(t1, 2.0) * schatten_norm(t2, 2.0)))
+        scale = schatten_sum(singular_values(t1), 2.0) * schatten_sum(singular_values(t2), 2.0)
+        kyfan_worst = max(kyfan_worst, resid / scale)
     ok = exact and ratio_err <= 1e-12 and boyd_err <= 1e-6 and avg_ok and kyfan_worst <= 1e-10
     _report(7, ok, f"ideals: dilation exact={exact}, Sp ratio err {ratio_err:.1e} "
                    f"(tol 1e-12), Boyd err {boyd_err:.1e} (tol 1e-6), averaging "

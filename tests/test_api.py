@@ -11,8 +11,8 @@ import importlib
 import inspect
 
 MODULES = ("bandlimited", "doi", "sinc", "spectral", "ideals", "perturbation")
-PUBLIC_CALLABLES = 94
-DEFAULTED_PARAMETERS = 38
+PUBLIC_CALLABLES = 89
+DEFAULTED_PARAMETERS = 37
 # parameters that would let a caller replace the one window, the divided-difference
 # rule, the bracket policy, the quadrature settings or the suites' spectrum box
 REMOVED = {"win", "eps_dd", "refinement", "quad_tol", "half_width", "box"}

@@ -21,7 +21,8 @@ from opcalc.cli import (
 )
 from opcalc import ideals, perturbation
 from opcalc.bandlimited import random_trig_polynomial
-from opcalc.perturbation import SUITES, ExperimentReport, coupled_normal_pair
+from opcalc.perturbation import SUITES, ExperimentReport, _coupled_draw
+from opcalc.spectral import _phase_fixed_q
 
 
 def _strict_loads(text):
@@ -127,9 +128,10 @@ def _oracle_sweep_maxima(cfg):
     """Holder-sweep maxima recomputed without functional_calculus or the sweep loop.
 
     Same draws as the sweep documents: f = random_trig_polynomial(sigma, 12,
-    seed, decay=1) and one coupled_normal_pair per substream (seed, grid_idx,
-    trial).  Each matrix is diagonalized by its complex Schur form, which is
-    diagonal for a normal matrix, and f is summed term by term.
+    seed, decay=1) and one coupled pair per substream (seed, grid_idx, trial),
+    drawn by ``_coupled_draw`` and factored alone.  Each matrix is
+    diagonalized by its complex Schur form, which is diagonal for a normal
+    matrix, and f is summed term by term.
     """
     f = random_trig_polynomial(cfg.sigma, 12, cfg.seed, decay=1.0)
 
@@ -146,7 +148,8 @@ def _oracle_sweep_maxima(cfg):
         norms = []
         for trial in range(cfg.trials):
             rng = np.random.default_rng((cfg.seed, grid_idx, trial))
-            d1, d2 = coupled_normal_pair(cfg.dims[trial % len(cfg.dims)], delta, rng)
+            pair = _coupled_draw(cfg.dims[trial % len(cfg.dims)], delta, rng)
+            d1, d2 = pair.factored([_phase_fixed_q(g) for g in pair.gaussians])
             norms.append(np.linalg.norm(f_of(d1.matrix) - f_of(d2.matrix), 2))
         maxima.append(max(norms))
     return maxima

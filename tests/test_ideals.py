@@ -13,9 +13,7 @@ from opcalc.ideals import (
     default_test_family,
     dilate_spectrum,
     kyfan_holder_check,
-    kyfan_p_norm,
     majorization_le,
-    schatten_norm,
     schatten_sum,
     sigma_averages,
     singular_values,
@@ -31,10 +29,9 @@ def spectrum(*vals):
 
 class TestSingularValues:
     def test_unitary(self):
-        from opcalc.spectral import haar_unitary
+        from opcalc.spectral import random_normal
 
-        u = haar_unitary(5, np.random.default_rng(0))
-        s = singular_values(u)
+        s = singular_values(random_normal(5, seed=0).unitary)
         assert np.abs(s - 1.0).max() <= 1e-12
 
     def test_diagonal_sorting(self):
@@ -106,6 +103,11 @@ class TestPsiNorm:
     def test_head_zero_is_operator_norm(self):
         spec = IdealSpec.trunc_head(0, SP1)
         assert spec.psi([7.0, 3.0, 1.0]) == 7.0
+
+    def test_power_scale_rejects_infinity(self):
+        # Psi_base(s^inf)^(1/inf) has no meaning
+        with pytest.raises(ValueError):
+            IdealSpec.power_scale(math.inf, SP2)
 
     def test_power_scale_composes_to_schatten(self):
         spec = IdealSpec.power_scale(2.0, SP2)  # -> S_4
@@ -321,13 +323,21 @@ class TestSchattenSum:
         rng = np.random.default_rng(12)
         t = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         s = singular_values(t)
-        for p in (0.5, 1.0, 2.0, 3.5):
-            want = schatten_sum(s, p)
-            assert schatten_norm(t, p) == want
-            assert kyfan_p_norm(t, p, 4) == want
-            assert IdealSpec.schatten(p).psi(s) == want
-            assert kyfan_p_norm(t, p, 1) == schatten_sum(s[:2], p)
-        assert schatten_norm(t, math.inf) == s[0]
+        for p in (0.5, 1.0, 2.0, 3.5, math.inf):
+            spec = IdealSpec.schatten(p)
+            assert spec.psi(s) == schatten_sum(s, p)
+            assert IdealSpec.trunc_head(1, spec).psi(s) == schatten_sum(s[:2], p)
+        assert schatten_sum(s, 2.0) == pytest.approx(np.linalg.norm(t), rel=1e-14)
+
+    @pytest.mark.parametrize("spec", [IdealSpec.schatten(math.inf), IdealSpec.weak(math.inf)],
+                             ids=lambda spec: spec.variant)
+    def test_infinity_is_the_top_value(self, spec):
+        s = spectrum(0.5, 0.2, 0.1)
+        assert spec.psi(s) == schatten_sum(s, math.inf) == 0.5
+        assert type(spec.psi(s)) is float
+        stack = np.sort(np.random.default_rng(2).uniform(0.0, 3.0, (7, 9)), axis=-1)[:, ::-1]
+        assert np.array_equal(spec.psi(stack), stack[..., 0])
+        assert np.array_equal(schatten_sum(stack, math.inf), stack[..., 0])
 
 
 class TestKyFanHolder:
@@ -352,8 +362,18 @@ class TestKyFanHolder:
         rng = np.random.default_rng(seed)
         t1 = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         t2 = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        scale = schatten_norm(t1, 2.0) * schatten_norm(t2, 2.0)
+        scale = schatten_sum(singular_values(t1), 2.0) * schatten_sum(singular_values(t2), 2.0)
         assert kyfan_holder_check(t1, t2, 2.0, 2.0, 1.0, 3) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("p, q, r", [(math.inf, 2.0, 2.0), (1.0, math.inf, 1.0),
+                                         (math.inf, math.inf, math.inf)])
+    def test_infinite_exponents(self, p, q, r):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            t1 = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+            t2 = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+            scale = np.linalg.norm(t1) * np.linalg.norm(t2)
+            assert kyfan_holder_check(t1, t2, p, q, r, 4) <= 1e-10 * scale, seed
 
     def test_exponent_mismatch(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from opcalc.perturbation import (
     ExperimentReport,
     certified_lipschitz_constant,
     certified_modulus_bound,
-    coupled_normal_pair,
     experiment_doi_identity,
     experiment_fuglede_ratio,
     experiment_holder_sweep,
@@ -22,7 +21,6 @@ from opcalc.perturbation import (
     experiment_quasicommutator,
     experiment_schatten_decay,
     extend_by_projection,
-    independent_normal_pair,
     SUITES,
     project_convex,
     trial_draws,
@@ -169,7 +167,7 @@ class TestCertifiedConstants:
         f = random_trig_polynomial(2.0, 8, seed=30)
         lip = certified_lipschitz_constant(f)
         rng = np.random.default_rng(seed)
-        d1, d2 = coupled_normal_pair(4, 0.1, rng)
+        d1, d2 = _factored(perturbation._coupled_draw(4, 0.1, rng))
         diff = functional_calculus(f, d1) - functional_calculus(f, d2)
         assert np.linalg.norm(diff, 2) <= lip * 0.1 * (1 + 1e-9)
 
@@ -179,7 +177,7 @@ class TestCoupledPair:
     @pytest.mark.parametrize("delta", [0.5, 0.125, 2.0**-5, 1e-6])
     def test_difference_is_delta_up_to_rounding(self, seed, delta):
         rng = np.random.default_rng((seed, 7))
-        d1, d2 = coupled_normal_pair(3 + seed, delta, rng)
+        d1, d2 = _factored(perturbation._coupled_draw(3 + seed, delta, rng))
         shift = np.abs(d2.eigenvalues - d1.eigenvalues).max()
         eps = np.finfo(float).eps
         assert abs(shift - delta) <= 4.0 * eps * (1.0 + np.abs(d1.eigenvalues).max())
@@ -211,11 +209,16 @@ def _factored_alone(g):
     return q * (d / np.abs(d))
 
 
+def _factored(pair):
+    """A drawn pair's two decompositions, each unitary factored alone."""
+    return pair.factored([_factored_alone(g) for g in pair.gaussians])
+
+
 def _per_trial(seed, trials, dims, draw, key=()):
     """Reference driver: every trial drawn and factored alone, in trial order."""
     for trial, dim, rng in trial_draws(seed, trials, dims, key):
         pair, *extra = draw(trial, dim, rng)
-        yield (trial, dim, *pair.factored([_factored_alone(g) for g in pair.gaussians]), *extra)
+        yield (trial, dim, *_factored(pair), *extra)
 
 
 def _fuglede_per_p(dims, p_list, trials, seed):
@@ -225,15 +228,15 @@ def _fuglede_per_p(dims, p_list, trials, seed):
     for p in p_list:
         worst = 0.0
         for trial, dim, rng in trial_draws(seed, trials, dims):
-            d1, d2 = independent_normal_pair(dim, rng)
+            d1, d2 = _factored(perturbation._independent_draw(dim, rng))
             r = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             x = d1.matrix @ r - r @ d2.matrix
             y = d1.matrix.conj().T @ r - r @ d2.matrix.conj().T
-            denom = ideals.schatten_norm(x, p)
+            denom = ideals.schatten_sum(ideals.singular_values(x), p)
             if denom < 1e-14:
                 rep.meta["skipped"] += 1
                 continue
-            ratio = ideals.schatten_norm(y, p) / denom
+            ratio = ideals.schatten_sum(ideals.singular_values(y), p) / denom
             if p == 2.0 and abs(ratio - 1.0) > 1e-10:
                 rep.meta["violations"] += 1
             worst = max(worst, ratio)
@@ -436,10 +439,15 @@ class TestExperiments:
                 for p in p_list]
         assert got == want
 
+    def test_ideals_boyd_at_infinity(self):
+        # Psi = s_0: every dilation ratio and every averaging ratio sigma_0 / s_0 is 1
+        rep = experiment_ideals_boyd([math.inf], 300, seed=4)
+        assert rep.rows == [(math.inf, 0.0, 0.0, 1.0, 6.0)]
+        assert rep.violations == 0
+
     def test_hermitian_pair_ratio_one_for_all_p(self):
         # conjugation acts trivially on Hermitian quasicommutators
         rng = np.random.default_rng(1)
-        from opcalc.ideals import schatten_norm
         from opcalc.spectral import diagonalize
 
         a = rng.standard_normal((4, 4))
@@ -447,8 +455,9 @@ class TestExperiments:
         r = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         x = n @ r - r @ n
         y = n.conj().T @ r - r @ n.conj().T
+        s_x, s_y = ideals.singular_values(x), ideals.singular_values(y)
         for p in (1.0, 2.0, float("inf")):
-            assert abs(schatten_norm(y, p) / schatten_norm(x, p) - 1.0) <= 1e-10
+            assert abs(ideals.schatten_sum(s_y, p) / ideals.schatten_sum(s_x, p) - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("suite", ["lip-bound", "qc-verify", "holder-sweep"])
     def test_rounding_rule_keeps_real_violations(self, monkeypatch, suite):

@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from opcalc import bandlimited
+from opcalc import bandlimited, sinc
 from opcalc.bandlimited import TrigSlice, random_trig_polynomial, slice_x, slice_y
 from opcalc.doi import divided_difference_kernel, schur_norm_bracket
+from opcalc.errors import QuadratureError
 from opcalc.sinc import (
     _tail_kernel,
     expansion_tail_bound,
@@ -27,6 +28,14 @@ def sin_slice(sigma):
 UNIT_EXP = TrigSlice(1.0, {1: 1.0})  # e^{it}
 
 
+def _basis_oracle(sigma, ns, y):
+    """sin(sigma*y)/(sigma*y - pi*n) at 40 digits; sigma*y is exact for sigma a power of two."""
+    with mpmath.workdps(40):
+        sy = mpmath.mpf(sigma) * mpmath.mpf(y)
+        num = mpmath.sin(sy)
+        return np.array([float(num / (sy - mpmath.pi * int(n))) for n in ns])
+
+
 class TestBasis:
     def test_removable_singularity(self):
         for n in (-3, 0, 2, 7):
@@ -34,6 +43,26 @@ class TestBasis:
 
     def test_direct_value(self):
         assert abs(sinc_basis(1.0, 0, math.pi / 2) - 2.0 / math.pi) <= 1e-15
+
+    @pytest.mark.parametrize("sigma", [4.0, 0.5])
+    def test_matches_mpmath_oracle(self, sigma):
+        # the factorizations' shape: |n| <= 2000, so |u| reaches about 6300
+        ns = np.arange(-2000, 2001)
+        ys = np.random.default_rng(8).uniform(-2.0, 2.0, 4)
+        got = sinc_basis(sigma, ns, ys[:, None])
+        for row, y in zip(got, ys):
+            want = _basis_oracle(sigma, ns, y)
+            assert np.max(np.abs(row - want) / np.abs(want)) <= 1e-14, y
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-13, -1e-13, 3e-14])
+    def test_accurate_at_and_near_sample_points(self, offset):
+        sigma, ns = 4.0, np.arange(-2000, 2001)
+        for m in (-3, 1, 2):
+            y = math.pi * m / sigma + offset
+            want = _basis_oracle(sigma, ns, y)
+            got = sinc_basis(sigma, ns, y)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, (m, offset)
+            assert sinc_basis(sigma, m, y) == got[2000 + m]
 
     def test_bounded_by_one(self):
         ns = np.arange(-50, 51)
@@ -165,6 +194,24 @@ class TestReproducingIntegral:
             else:
                 want = (mpmath.log((hi - y) / (hi - x)) + mpmath.log((x - lo) / (y - lo))) / (x - y)
             assert abs(got - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_integrals_reject_nonpositive_sigma(self, sigma):
+        with pytest.raises(ValueError):
+            row_energy_integral(UNIT_EXP, sigma, 0.3)
+        with pytest.raises(ValueError):
+            sinc_mass_integral(sigma, 0.3)
+        with pytest.raises(ValueError):
+            reproducing_integral(UNIT_EXP, sigma, 0.3, 0.5)
+
+    def test_integrals_raise_when_quadrature_misses_tolerance(self, monkeypatch):
+        monkeypatch.setattr(sinc, "quad", lambda *args, **kwargs: (1.0, 1e-3))
+        with pytest.raises(QuadratureError):
+            row_energy_integral(UNIT_EXP, 1.0, 0.3)
+        with pytest.raises(QuadratureError):
+            sinc_mass_integral(1.0, 0.3)
+        with pytest.raises(QuadratureError):
+            reproducing_integral(UNIT_EXP, 1.0, 0.3, 0.5)
 
     def test_mass_integral_is_one(self):
         for sigma, y in ((1.0, 0.0), (2.5, 1.3), (0.7, -4.0)):
