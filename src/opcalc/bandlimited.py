@@ -326,9 +326,19 @@ class TrigPolynomial:
         return out if out.ndim else complex(out)
 
     def __call__(self, z):
+        """f at complex points z = x + iy, or at real pairs (z[..., 0], z[..., 1]).
+
+        A complex array of two or more axes is a stack of spectra along its
+        last axis, and each spectrum gets the values of its own call: the
+        evaluation form (see ``_Terms``) is picked by the size of one spectrum.
+        """
         z = np.asarray(z)
         if np.iscomplexobj(z):
-            return self.eval(z.real, z.imag)
+            if z.ndim < 2:
+                return self.eval(z.real, z.imag)
+            if z.shape[-1] * self._terms.amps.size <= _ONE_SHOT_ENTRIES:
+                return self._terms._one_shot([z.real, z.imag])
+            return np.stack([self(spectrum) for spectrum in z])
         return self.eval(z[..., 0], z[..., 1]) if z.ndim else self.eval(z, 0.0)
 
     def grid_values(self, m: int) -> np.ndarray:
@@ -622,7 +632,10 @@ def divided_difference(g, a, b, axis: str | None = None, other=None) -> np.ndarr
     with k <= j < 0.  Nothing nearly equal is subtracted, so every entry is
     accurate to rounding at every gap, and a = b gives the derivative.  The
     formula is symmetric in a and b, so the partial sums go on the held
-    coordinate's side; a column against a row is one matrix product.
+    coordinate's side; a column against a row is one matrix product, and a
+    stack of them, shapes (..., n, 1) and (..., 1, m), one stacked product
+    whose tables are laid out matrix by matrix, so that each matrix of the
+    stack gets the values of its own call.
     """
     terms = g._terms
     ax = 1 if axis == "y" else 0
@@ -637,27 +650,35 @@ def divided_difference(g, a, b, axis: str | None = None, other=None) -> np.ndarr
     if a.ndim != b.ndim:
         a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
         b = b.reshape((1,) * (ndim - b.ndim) + b.shape)
+    stack = a.shape[:-2] if ndim >= 2 and a.shape[:-2] == b.shape[:-2] else None
+    a_column = stack is not None and a.shape[-1] == b.shape[-2] == 1
+    b_column = stack is not None and a.shape[-2] == b.shape[-1] == 1
+    count = math.prod(stack) if a_column or b_column else 1
+    # per matrix of the stack: a (count, 1, points) against its (T,) or (J,) tables
+    pa, pb = a.reshape(count, 1, -1), b.reshape(count, 1, -1)
     ih_signs, half, ihalf = terms.dd_tables(ax)
-    theta = np.multiply.outer(terms._hfreqs[ax], a.ravel())
+    theta = terms._hfreqs[ax][:, None] * pa
     if held is not None:
-        theta += np.multiply.outer(terms._hfreqs[1 - ax], held.ravel())
+        theta += terms._hfreqs[1 - ax][:, None] * held.reshape(count, 1, -1)
     rows = ih_signs @ (np.exp(1j * theta) * terms.amps[:, None])
-    rows /= np.exp(np.multiply.outer(ihalf, a.ravel()))
-    if b.size * half.size <= _ONE_SHOT_ENTRIES:
-        cols = np.exp(np.multiply.outer(ihalf, b.ravel()))
+    rows /= np.exp(ihalf[:, None] * pa)
+    if pb.shape[-1] * half.size <= _ONE_SHOT_ENTRIES:
+        cols = np.exp(ihalf[:, None] * pb)
     else:
-        cols = _phase_powers(terms.h, b, half[0], half.size)
+        table = _phase_powers(terms.h, pb, half[0], half.size).reshape(half.size, count, -1)
+        cols = np.ascontiguousarray(np.moveaxis(table, 1, 0))  # a view when count is 1
     # sinc is even: |ha/2 - hb/2| floored at the least normal double gives 1 at a = b;
     # scaling before the subtraction rounds no worse than the phases themselves
     x = np.maximum(np.abs((0.5 * terms.h) * a - (0.5 * terms.h) * b), _TINY)
     sinc = np.sin(x)
     sinc /= x
-    if a.size == 1 or b.size == 1 or (ndim == 2 and a.shape[1] == b.shape[0] == 1):
-        total = (rows.T @ cols).reshape(x.shape)
-    elif ndim == 2 and a.shape[0] == b.shape[1] == 1:
-        total = cols.T @ rows
+    if pa.shape[-1] == 1 or pb.shape[-1] == 1 or a_column:
+        total = np.swapaxes(rows, -1, -2) @ cols
+    elif b_column:
+        total = np.swapaxes(cols, -1, -2) @ rows
     else:
         total = (rows.reshape(half.shape + a.shape) * cols.reshape(half.shape + b.shape)).sum(axis=0)
+    total = total.reshape(x.shape)
     total *= sinc
     return total
 

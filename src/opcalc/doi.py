@@ -21,27 +21,32 @@ import numpy as np
 
 from .bandlimited import TrigPolynomial, divided_difference
 from .errors import FactorizationError
-from .spectral import SpectralDecomposition, parts
+from .spectral import SpectralDecomposition, _adjoint, parts
 
 
 @dataclass(frozen=True)
 class DoiKernel:
-    """Kernel sampled on spectral pairs: values[j, k] = Phi(rows[j], cols[k])."""
+    """Kernel sampled on spectral pairs: values[j, k] = Phi(rows[j], cols[k]).
+
+    A stack of kernels holds (k, n) rows, (k, m) cols and (k, n, m) values.
+    """
 
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (self.rows.size, self.cols.size):
+        if self.rows.shape[:-1] != self.cols.shape[:-1] or (
+            self.values.shape != self.rows.shape + self.cols.shape[-1:]
+        ):
             raise ValueError(
                 f"kernel shape {self.values.shape} does not match "
-                f"{self.rows.size} x {self.cols.size} spectra"
+                f"spectra of shapes {self.rows.shape} and {self.cols.shape}"
             )
 
 
 def divided_difference_kernel(
-    f: TrigPolynomial,
+    f: "TrigPolynomial | list[TrigPolynomial]",
     axis: str,
     lam: np.ndarray,
     mu: np.ndarray,
@@ -51,13 +56,20 @@ def divided_difference_kernel(
     Axis "x" gives (f(x1, y2) - f(x2, y2))/(x1 - x2); axis "y" gives
     (f(x1, y1) - f(x1, y2))/(y1 - y2), by ``divided_difference``'s one
     formula, which gives the partial derivative where the coordinates agree.
+    For (k, n) and (k, m) stacks of spectra it gives the stack of k kernels,
+    each equal to its own call; f is then one function for every pair of
+    spectra, or a sequence of k, one per pair.
     """
     lam = np.asarray(lam, dtype=complex)
     mu = np.asarray(mu, dtype=complex)
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    x1, y1 = lam.real[:, None], lam.imag[:, None]
-    x2, y2 = mu.real[None, :], mu.imag[None, :]
+    if not isinstance(f, TrigPolynomial):
+        values = [divided_difference_kernel(g, axis, l, m).values
+                  for g, l, m in zip(f, lam, mu, strict=True)]
+        return DoiKernel(rows=lam, cols=mu, values=np.stack(values))
+    x1, y1 = lam.real[..., :, None], lam.imag[..., :, None]
+    x2, y2 = mu.real[..., None, :], mu.imag[..., None, :]
     a, b, held = (x1, x2, y2) if axis == "x" else (y1, y2, x1)
     values = divided_difference(f, a, b, axis, held)
     return DoiKernel(rows=lam, cols=mu, values=values)
@@ -69,40 +81,56 @@ def doi_apply(
     t: np.ndarray,
     d2: SpectralDecomposition,
 ) -> np.ndarray:
-    """U1 (Phi o (U1* T U2)) U2* — the finite-spectrum double operator integral."""
+    """U1 (Phi o (U1* T U2)) U2* — the finite-spectrum double operator integral.
+
+    Stacks of kernels, decompositions and factors give the stack of results.
+    """
     if not np.array_equal(phi.rows, d1.eigenvalues) or not np.array_equal(
         phi.cols, d2.eigenvalues
     ):
         raise ValueError("kernel spectra do not match the decompositions")
-    t = np.asarray(t, dtype=complex)
-    if t.shape != (d1.dim, d2.dim):
-        raise ValueError(f"factor shape {t.shape} incompatible with decompositions")
+    t = _factor(t, d1, d2)
     u1, u2 = d1.unitary, d2.unitary
-    return u1 @ (phi.values * (u1.conj().T @ t @ u2)) @ u2.conj().T
+    # named: numpy reuses a large temporary right operand of * in place, computing
+    # tmp * values, and complex products do not round the same both ways round
+    inner = _adjoint(u1) @ t @ u2
+    return u1 @ (phi.values * inner) @ _adjoint(u2)
+
+
+def _factor(t, d1: SpectralDecomposition, d2: SpectralDecomposition) -> np.ndarray:
+    """t as a complex array, checked to be n1 x n2 (per member of a stack of decompositions)."""
+    t = np.asarray(t, dtype=complex)
+    if t.shape != d1.eigenvalues.shape + d2.eigenvalues.shape[-1:]:
+        raise ValueError(f"factor shape {t.shape} incompatible with decompositions")
+    return t
 
 
 def difference_via_doi(
-    f: TrigPolynomial,
+    f: "TrigPolynomial | list[TrigPolynomial]",
     d1: SpectralDecomposition,
     d2: SpectralDecomposition,
 ) -> np.ndarray:
     """Right-hand side of the difference identity for f(N1) - f(N2).
 
-    The R = I case of ``quasicommutator_via_doi`` (products with I are exact).
+    The R = I case of ``quasicommutator_via_doi`` (products with I are
+    exact), for a pair or a stack of pairs.
     """
-    return quasicommutator_via_doi(f, d1, d2, np.eye(d1.dim, dtype=complex))
+    eye = np.eye(d1.dim, dtype=complex)
+    return quasicommutator_via_doi(f, d1, d2, np.broadcast_to(eye, d1.unitary.shape))
 
 
 def quasicommutator_via_doi(
-    f: TrigPolynomial,
+    f: "TrigPolynomial | list[TrigPolynomial]",
     d1: SpectralDecomposition,
     d2: SpectralDecomposition,
     r: np.ndarray,
 ) -> np.ndarray:
-    """Right-hand side of the quasicommutator identity for f(N1) R - R f(N2)."""
-    r = np.asarray(r, dtype=complex)
-    if r.shape != (d1.dim, d2.dim):
-        raise ValueError(f"factor shape {r.shape} incompatible with decompositions")
+    """Right-hand side of the quasicommutator identity for f(N1) R - R f(N2).
+
+    Stacks of decompositions and factors give the stack of right-hand sides;
+    f is as for ``divided_difference_kernel``.
+    """
+    r = _factor(r, d1, d2)
     a1, b1 = parts(d1)
     a2, b2 = parts(d2)
     ky = divided_difference_kernel(f, "y", d1.eigenvalues, d2.eigenvalues)

@@ -24,7 +24,10 @@ class SpectralDecomposition:
 
     ``matrix`` is N as given, or, when none is given, U diag(lambda) U*
     formed when it is first read, so a caller that needs only the
-    eigenbasis never pays for the product.  Attributes are read-only.
+    eigenbasis never pays for the product.  A stack of k decompositions
+    holds a (k, n, n) unitary and (k, n) eigenvalues; ``dec[i]`` is its
+    i-th decomposition, and every routine that takes a stack gives each
+    member the values of its own call.  Attributes are read-only.
     """
 
     def __init__(self, unitary: np.ndarray, eigenvalues: np.ndarray,
@@ -37,16 +40,24 @@ class SpectralDecomposition:
     def __setattr__(self, name, value):
         raise AttributeError("SpectralDecomposition is immutable")
 
+    def __getitem__(self, i) -> "SpectralDecomposition":
+        return SpectralDecomposition(self.unitary[i], self.eigenvalues[i],
+                                     None if "matrix" not in self.__dict__ else self.matrix[i])
+
     @cached_property
     def matrix(self) -> np.ndarray:
-        return (self.unitary * self.eigenvalues) @ self.unitary.conj().T
+        return (self.unitary * self.eigenvalues[..., None, :]) @ _adjoint(self.unitary)
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def verify(self) -> None:
-        """Re-check the defining invariants; raise on violation."""
+        """Re-check the defining invariants, of each member of a stack; raise on violation."""
+        if self.eigenvalues.ndim > 1:
+            for i in range(len(self.eigenvalues)):
+                self[i].verify()
+            return
         n = self.dim
         u = self.unitary
         ortho = np.linalg.norm(u.conj().T @ u - np.eye(n))
@@ -64,6 +75,11 @@ class SpectralDecomposition:
             raise NotNormalError(comm, _COMMUTE_TOL)
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """M* of a matrix, or of each matrix of a (k, n, n) stack (a transposed view of the conjugate)."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def normality_defect(m: np.ndarray) -> float:
     """|| M M* - M* M ||_F normalized by max(||M||_F^2, tiny)."""
     m = np.asarray(m, dtype=complex)
@@ -75,10 +91,10 @@ def normality_defect(m: np.ndarray) -> float:
 
 
 def parts(dec: SpectralDecomposition | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian real/imaginary parts (A, B) with N = A + iB."""
+    """Hermitian real/imaginary parts (A, B) with N = A + iB, of a matrix or of a stack."""
     n = dec.matrix if isinstance(dec, SpectralDecomposition) else np.asarray(dec, dtype=complex)
-    a = (n + n.conj().T) / 2.0
-    b = (n - n.conj().T) / 2.0j
+    a = (n + _adjoint(n)) / 2.0
+    b = (n - _adjoint(n)) / 2.0j
     return a, b
 
 
@@ -145,13 +161,15 @@ def diagonalize(n: np.ndarray) -> SpectralDecomposition:
 def functional_calculus(f, dec: SpectralDecomposition) -> np.ndarray:
     """f(N) = U diag(f(lambda_j)) U* for a function on the spectrum.
 
-    ``f`` is called once, on the 1-D complex array of eigenvalues, and must
-    accept an array: it returns either one value per eigenvalue or a scalar,
-    which is broadcast (so ``lambda z: 1.0`` gives the identity).
+    ``f`` is called once, on the complex array of eigenvalues ((k, n) for a
+    stack of decompositions, giving a (k, n, n) stack), and must accept an
+    array: it returns either one value per eigenvalue or a scalar, which is
+    broadcast (so ``lambda z: 1.0`` gives the identity).  A ``TrigPolynomial``
+    gives each spectrum of a stack the values of its own call.
     """
     lam = dec.eigenvalues
     fvals = np.broadcast_to(np.asarray(f(lam), dtype=complex), lam.shape)
-    return (dec.unitary * fvals) @ dec.unitary.conj().T
+    return (dec.unitary * fvals[..., None, :]) @ _adjoint(dec.unitary)
 
 
 def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -168,18 +186,6 @@ def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def _haar_unitaries(gaussians: list[np.ndarray]) -> list[np.ndarray]:
-    """The phase-fixed Q of each Gaussian matrix, in order; one stacked QR per size."""
-    by_dim: dict[int, list[int]] = {}
-    for i, g in enumerate(gaussians):
-        by_dim.setdefault(g.shape[0], []).append(i)
-    out = [None] * len(gaussians)
-    for idx in by_dim.values():
-        for i, u in zip(idx, _phase_fixed_q(np.stack([gaussians[i] for i in idx]))):
-            out[i] = u
-    return out
 
 
 def _normal_draw(dim: int, spectrum_box: tuple[float, float, float, float],

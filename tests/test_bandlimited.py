@@ -167,11 +167,26 @@ class TestEvaluationRoutine:
         _assert_oracle(F12.eval(x, y), _term_sum(F12, x, y))
         _assert_oracle(F12.eval(x, 0.7), _term_sum(F12, x, 0.7))
 
+    @pytest.mark.parametrize("n, k", [(0, 3), (1, 5), (8, 9), (SMALL, 4), (SMALL + 1, 4),
+                                      (64, 64)])
+    @pytest.mark.parametrize("terms", [12, 40])
+    def test_stack_of_spectra_equals_each_spectrum(self, n, k, terms):
+        # a (k, n) complex stack passes the one-shot limit; each spectrum keeps its own form
+        f = random_trig_polynomial(8.0, terms, seed=n)
+        rng = np.random.default_rng(n)
+        z = rng.uniform(-10.0, 10.0, (k, n)) + 1j * rng.uniform(-10.0, 10.0, (k, n))
+        got = f(z)
+        assert got.shape == (k, n)
+        for row, spectrum in zip(got, z):
+            assert np.array_equal(row, f(spectrum.copy()))
+        _assert_oracle(got, _term_sum(f, z.real, z.imag))
+
     def test_empty_polynomial(self):
         zero = TrigPolynomial(1.0, {})
         assert zero.eval(0.3, 0.4) == 0j
         assert zero.eval(np.zeros((3, 1)), np.zeros((1, 5))).shape == (3, 5)
         assert not np.any(zero.eval(np.ones(LARGE), 0.0))
+        assert not np.any(zero(np.ones((3, 4), dtype=complex)))
 
     @pytest.mark.parametrize("g", WIDE)
     @pytest.mark.parametrize("n", [1, 40, LARGE])
@@ -270,6 +285,27 @@ class TestDividedDifference:
         for i, j in np.ndindex(got.shape):
             want = _dd_oracle(along[i if held_side == "rows" else j], self.F.h, a[i], b[j])
             assert abs(got[i, j] - want) <= 1e-14 * max(abs(want), 1.0), (i, j)
+
+    # J = 22 and 21 partial sums on x and y: a dim-64 row takes the power table
+    WIDE_F = TrigPolynomial(0.5, {(20, -3): 1.0, (-2, 18): 0.5j, (1, 1): 2.0, (0, 0): -1.0})
+
+    @pytest.mark.parametrize("n, k", [(n, 9) for n in range(1, 9)] + [(64, 64)])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_stack_equals_each_matrix_alone(self, n, k, axis, wide):
+        f = self.WIDE_F if wide else self.F
+        rng = np.random.default_rng((n, k))
+        lam, mu = rng.uniform(-2.0, 2.0, (2, k, n)) + 1j * rng.uniform(-2.0, 2.0, (2, k, n))
+        # the arguments of ``divided_difference_kernel``: a column against a row
+        if axis == "x":
+            args = lam.real[..., :, None], mu.real[..., None, :], mu.imag[..., None, :]
+        else:
+            args = lam.imag[..., :, None], mu.imag[..., None, :], lam.real[..., :, None]
+        got = divided_difference(f, *args[:2], axis, args[2])
+        assert got.shape == (k, n, n)
+        for i in range(k):
+            a, b, held = (np.ascontiguousarray(v[i]) for v in args)
+            assert np.array_equal(got[i], divided_difference(f, a, b, axis, held))
 
     @pytest.mark.parametrize("gap", [1e-1, 1e-3, 1e-5, 5e-7, 1e-9, 0.0])
     def test_slice_matches_oracle(self, gap):

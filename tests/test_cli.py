@@ -57,11 +57,21 @@ class TestConfig:
         {"dims": "4"}, {"dims": [2.0]}, {"dims": []}, {"seed": -1}, {"seed": 1.5},
         {"trials": True}, {"sigma": "2"}, {"sigma": math.inf}, {"alpha": math.nan},
         {"p": [0.0]}, {"p": [-math.inf]}, {"p": []}, {"delta_grid": [0.0]},
-        {"tol": -1.0}, {"tol": 0.0}, {"out": 3},
+        {"tol": -1.0}, {"tol": 0.0}, {"out": 3}, {"sigma": 1.5e6}, {"sigma": 1e8},
     ])
     def test_range_validation(self, bad):
         cfg = RunConfig("doi-verify", **bad)
         with pytest.raises(ValueError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("eid", EXPERIMENTS)
+    def test_sigma_bound_only_for_identity_suites(self, eid):
+        RunConfig(eid, sigma=1e6, p=[2.0]).validate()
+        cfg = RunConfig(eid, sigma=1e300, p=[2.0])
+        if eid in ("doi-verify", "qc-verify"):
+            with pytest.raises(ValueError, match="sigma must be at most 1e"):
+                cfg.validate()
+        else:
             cfg.validate()
 
 
@@ -149,8 +159,10 @@ def _oracle_sweep_maxima(cfg):
         for trial in range(cfg.trials):
             rng = np.random.default_rng((cfg.seed, grid_idx, trial))
             pair = _coupled_draw(cfg.dims[trial % len(cfg.dims)], delta, rng)
-            d1, d2 = pair.factored([_phase_fixed_q(g) for g in pair.gaussians])
-            norms.append(np.linalg.norm(f_of(d1.matrix) - f_of(d2.matrix), 2))
+            (g,) = pair.gaussians  # a coupled pair shares its eigenbasis
+            u = _phase_fixed_q(g)
+            n1, n2 = ((u * lam) @ u.conj().T for lam in (pair.lam1, pair.lam2))
+            norms.append(np.linalg.norm(f_of(n1) - f_of(n2), 2))
         maxima.append(max(norms))
     return maxima
 
@@ -312,6 +324,18 @@ class TestMain:
         code = main(["doi-verify", "--dims", "500", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eid", ["doi-verify", "qc-verify"])
+    def test_identity_sigma_beyond_double_precision_exit_two(self, tmp_path, capsys, eid):
+        # at sigma 1e8 rounding in the phases alone fails every row of these suites
+        prefix = str(tmp_path / "big")
+        code = main([eid, "--sigma", "1e8", "--dims", "3", "--trials", "3", "--seed", "0",
+                     "--out", prefix])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("opcalc: error: sigma must be at most 1e+06")
+        assert "Traceback" not in err
+        assert not os.path.exists(prefix + ".csv")
 
     def test_svg_emitted_for_plot_experiments(self, tmp_path):
         prefix = str(tmp_path / "sweep")

@@ -14,7 +14,7 @@ from opcalc.doi import (
 )
 from opcalc.errors import FactorizationError
 from opcalc.ideals import schatten_sum, singular_values
-from opcalc.spectral import functional_calculus, random_normal
+from opcalc.spectral import SpectralDecomposition, _phase_fixed_q, functional_calculus, random_normal
 
 # f(x, y) = x and f(x, y) = y on a coarse lattice covering the spectra used below
 F_X = TrigPolynomial(0.05, {(1, 0): 0.5 / (1j * 0.05), (-1, 0): -0.5 / (1j * 0.05)})
@@ -226,6 +226,73 @@ class TestQuasicommutatorIdentity:
         d2 = random_normal(3, seed=20)
         with pytest.raises(ValueError):
             quasicommutator_via_doi(f, d1, d2, np.eye(4, dtype=complex))
+
+
+def _pair_stack(n, k, seed):
+    """Stacks of k decompositions for N1 and N2, and k factors R."""
+    rng = np.random.default_rng(seed)
+
+    def gaussians():
+        return rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+
+    def spectra():
+        return rng.uniform(-1.0, 1.0, (k, n)) + 1j * rng.uniform(-1.0, 1.0, (k, n))
+
+    d1 = SpectralDecomposition(_phase_fixed_q(gaussians()), spectra())
+    d2 = SpectralDecomposition(_phase_fixed_q(gaussians()), spectra())
+    return d1, d2, gaussians()
+
+
+def _alone(dec, i):
+    return SpectralDecomposition(dec.unitary[i].copy(), dec.eigenvalues[i].copy())
+
+
+class TestStacks:
+    """Stacked kernels, DOI products and identity sides equal each member's own call bitwise.
+
+    Dims 1 to 8, and a dim-64 stack large enough for numpy to reuse its
+    temporaries in place.
+    """
+
+    @pytest.mark.parametrize("n, k", [(n, 9) for n in range(1, 9)] + [(64, 64)])
+    def test_routines_equal_their_own_calls(self, n, k):
+        f = random_trig_polynomial(8.0, 12, seed=n)
+        d1, d2, r = _pair_stack(n, k, n)
+        kernels = {axis: divided_difference_kernel(f, axis, d1.eigenvalues, d2.eigenvalues)
+                   for axis in "xy"}
+        applied = doi_apply(kernels["x"], d1, r, d2)
+        quasi = quasicommutator_via_doi(f, d1, d2, r)
+        diff = difference_via_doi(f, d1, d2)
+        for i in range(k):
+            e1, e2, t = _alone(d1, i), _alone(d2, i), r[i].copy()
+            alone = {axis: divided_difference_kernel(f, axis, e1.eigenvalues, e2.eigenvalues)
+                     for axis in "xy"}
+            for axis, kernel in kernels.items():
+                assert np.array_equal(kernel.values[i], alone[axis].values)
+            assert np.array_equal(applied[i], doi_apply(alone["x"], e1, t, e2))
+            assert np.array_equal(quasi[i], quasicommutator_via_doi(f, e1, e2, t))
+            assert np.array_equal(diff[i], difference_via_doi(f, e1, e2))
+
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_one_function_per_pair(self, n):
+        d1, d2, _ = _pair_stack(n, 4, 100 + n)
+        fs = [random_trig_polynomial(4.0, 12, seed=s) for s in range(4)]
+        kernel = divided_difference_kernel(fs, "y", d1.eigenvalues, d2.eigenvalues)
+        diff = difference_via_doi(fs, d1, d2)
+        for i, f in enumerate(fs):
+            e1, e2 = _alone(d1, i), _alone(d2, i)
+            want = divided_difference_kernel(f, "y", e1.eigenvalues, e2.eigenvalues)
+            assert np.array_equal(kernel.values[i], want.values)
+            assert np.array_equal(diff[i], difference_via_doi(f, e1, e2))
+        with pytest.raises(ValueError):
+            divided_difference_kernel(fs[:3], "y", d1.eigenvalues, d2.eigenvalues)
+
+    def test_stack_shapes_checked(self):
+        d1, d2, r = _pair_stack(3, 4, 7)
+        with pytest.raises(ValueError):
+            quasicommutator_via_doi(F_X, d1, d2, r[:3])
+        with pytest.raises(ValueError):
+            DoiKernel(d1.eigenvalues, d2.eigenvalues[:3], np.zeros((4, 3, 3), complex))
 
 
 class TestSchurBracket:

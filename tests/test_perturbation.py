@@ -8,6 +8,7 @@ import pytest
 from opcalc import bandlimited, ideals, perturbation
 from opcalc.bandlimited import TrigPolynomial, band_uppers, lp_pieces, random_trig_polynomial
 from opcalc.cli import RunConfig, report_to_csv, report_to_json
+from opcalc.doi import difference_via_doi, quasicommutator_via_doi
 from opcalc.perturbation import (
     ConvexBody,
     ExperimentReport,
@@ -25,7 +26,7 @@ from opcalc.perturbation import (
     project_convex,
     trial_draws,
 )
-from opcalc.spectral import functional_calculus, random_normal
+from opcalc.spectral import SpectralDecomposition, functional_calculus, random_normal
 
 SQUARE = ConvexBody.polygon([0.0, 1.0, 1.0 + 1.0j, 1.0j])
 DISC = ConvexBody.disc(0.0, 1.0)
@@ -210,8 +211,14 @@ def _factored_alone(g):
 
 
 def _factored(pair):
-    """A drawn pair's two decompositions, each unitary factored alone."""
-    return pair.factored([_factored_alone(g) for g in pair.gaussians])
+    """A drawn pair's two decompositions, each unitary factored alone.
+
+    N1 takes the Q of the first Gaussian, N2 that of the last (one when the
+    pair shares its eigenbasis).
+    """
+    unitaries = [_factored_alone(g) for g in pair.gaussians]
+    return (SpectralDecomposition(unitaries[0], pair.lam1),
+            SpectralDecomposition(unitaries[-1], pair.lam2))
 
 
 def _per_trial(seed, trials, dims, draw, key=()):
@@ -219,6 +226,107 @@ def _per_trial(seed, trials, dims, draw, key=()):
     for trial, dim, rng in trial_draws(seed, trials, dims, key):
         pair, *extra = draw(trial, dim, rng)
         yield (trial, dim, *_factored(pair), *extra)
+
+
+def _block_per_trial(seed, trials, dims, draw, key=()):
+    """``_pair_trials`` with every trial drawn and factored alone, a block of its own."""
+    for trial, dim, d1, d2, *extra in _per_trial(seed, trials, dims, draw, key):
+        one = [SpectralDecomposition(d.unitary[None], d.eigenvalues[None]) for d in (d1, d2)]
+        yield [perturbation._Group([trial], dim, *one, tuple([e] for e in extra))]
+
+
+def _note(meta, key, name, trial, ratio):
+    if meta[key] is None or ratio > meta[key][name]:
+        meta[key] = {"trial": trial, name: ratio}
+
+
+def _lip_per_trial(cfg):
+    """The lip-bound suite scored trial by trial, each trial's matrices formed alone."""
+    f = perturbation._suite_f(cfg)
+    lip = certified_lipschitz_constant(f)
+    rep = ExperimentReport("lip-bound", cfg.seed,
+                           ["trial", "dim", "delta_op", "quotient_op", "quotient_s1", "certified"],
+                           meta={"lipschitz_constant": lip, "violations": 0, "worst_margin": None})
+
+    def draw(trial, dim, rng):
+        if trial % 2 == 0:
+            return (perturbation._independent_draw(dim, rng),)
+        return (perturbation._coupled_draw(dim, float(2.0 ** -(trial % 11)), rng),)
+
+    for trial, dim, d1, d2 in _per_trial(cfg.seed, cfg.trials, cfg.dims, draw):
+        dn = d1.matrix - d2.matrix
+        diff = functional_calculus(f, d1) - functional_calculus(f, d2)
+        s_dn, s_diff = ideals.singular_values(dn), ideals.singular_values(diff)
+        delta_op, delta_s1 = float(s_dn[0]), ideals.schatten_sum(s_dn, 1.0)
+        if delta_op < 1e-14:
+            continue
+        num_op, num_s1 = float(s_diff[0]), ideals.schatten_sum(s_diff, 1.0)
+        q_op, q_s1 = num_op / delta_op, num_s1 / delta_s1
+        if max(q_op, q_s1) > lip * (1.0 + 1e-9):
+            slack_a = perturbation._slack(diff, f, d1, d2)
+            slack_b = perturbation._slack(dn, None, d1, d2)
+            if any(a - slack_a > lip * (1.0 + 1e-9) * (b + slack_b)
+                   for a, b in ((num_op, delta_op), (num_s1, delta_s1))):
+                rep.meta["violations"] += 1
+        rep.add(trial, dim, delta_op, q_op, q_s1, lip)
+        _note(rep.meta, "worst_margin", "measured_over_certified", trial,
+              perturbation._ratio(max(q_op, q_s1), lip))
+    return rep
+
+
+def _qc_per_trial(cfg):
+    """The qc-verify suite scored trial by trial, each trial's matrices formed alone."""
+    f = perturbation._suite_f(cfg)
+    lip = certified_lipschitz_constant(f)
+    rep = ExperimentReport("qc-verify", cfg.seed,
+                           ["trial", "dim", "measured", "residual", "max_quasicomm", "certified"],
+                           meta={"lipschitz_constant": lip, "violations": 0,
+                                 "worst_margin": None, "worst_residual": None})
+    for trial, dim, d1, d2, r in _per_trial(cfg.seed, cfg.trials, cfg.dims,
+                                            perturbation._draw_with_factor):
+        lhs = functional_calculus(f, d1) @ r - r @ functional_calculus(f, d2)
+        rhs = quasicommutator_via_doi(f, d1, d2, r)
+        scale = 1.0 + float(np.linalg.norm(lhs))
+        residual = float(np.linalg.norm(lhs - rhs))
+        n1, n2 = d1.matrix, d2.matrix
+        quasi = (n1 @ r - r @ n2, n1.conj().T @ r - r @ n2.conj().T)
+        qc = max(float(np.linalg.norm(x, 2)) for x in quasi)
+        measured = float(np.linalg.norm(lhs, 2))
+        certified = lip * qc
+        violated = residual > 1e-9 * scale
+        if measured > certified * (1.0 + 1e-9):
+            r_fro = float(np.linalg.norm(r))
+            slack = max(perturbation._slack(x, None, d1, d2, r_fro) for x in quasi)
+            room = lip * (1.0 + 1e-9) * (qc + slack)
+            violated |= measured - perturbation._slack(lhs, f, d1, d2, r_fro) > room
+        rep.meta["violations"] += int(violated)
+        rep.add(trial, dim, measured, residual, qc, certified)
+        _note(rep.meta, "worst_margin", "measured_over_certified", trial,
+              perturbation._ratio(measured, certified))
+        _note(rep.meta, "worst_residual", "residual_over_scale", trial, residual / scale)
+    return rep
+
+
+def _doi_per_trial(cfg):
+    """The doi-verify suite scored trial by trial, each trial's matrices formed alone."""
+    rep = ExperimentReport("doi-verify", cfg.seed, ["trial", "dim", "residual", "scale"],
+                           meta={"sigma": cfg.sigma, "tol": cfg.tol, "violations": 0,
+                                 "worst_residual": None})
+
+    def draw(trial, dim, rng):
+        f = random_trig_polynomial(cfg.sigma, 12, seed=None, rng=rng)
+        return perturbation._independent_draw(dim, rng), f
+
+    for trial, dim, d1, d2, f in _per_trial(cfg.seed, cfg.trials, cfg.dims, draw):
+        f1, f2 = functional_calculus(f, d1), functional_calculus(f, d2)
+        rhs = difference_via_doi(f, d1, d2)
+        scale = 1.0 + float(np.linalg.norm(f1)) + float(np.linalg.norm(f2))
+        residual = float(np.linalg.norm(f1 - f2 - rhs))
+        if residual > cfg.tol * scale:
+            rep.meta["violations"] += 1
+        rep.add(trial, dim, residual, scale)
+        _note(rep.meta, "worst_residual", "residual_over_scale", trial, residual / scale)
+    return rep
 
 
 def _fuglede_per_p(dims, p_list, trials, seed):
@@ -245,11 +353,23 @@ def _fuglede_per_p(dims, p_list, trials, seed):
     return rep
 
 
-def _suite_outputs(eid, trials):
-    cfg = RunConfig(eid, seed=5, dims=[2, 3, 5], trials=trials, sigma=4.0,
-                    delta_grid=[0.5, 0.125], p=[1.0, 2.0, math.inf] if eid == "fuglede-ratio" else [2.0])
+PER_TRIAL = {
+    "lip-bound": _lip_per_trial,
+    "qc-verify": _qc_per_trial,
+    "doi-verify": _doi_per_trial,
+    "fuglede-ratio": lambda c: _fuglede_per_p(c.dims, c.p, c.trials, c.seed),
+}
+
+
+def _config(eid, trials, dims=(2, 3, 5)):
+    cfg = RunConfig(eid, seed=5, dims=list(dims), trials=trials, sigma=4.0,
+                    delta_grid=[0.5, 0.125],
+                    p=[1.0, 2.0, math.inf] if eid == "fuglede-ratio" else [2.0])
     cfg.validate()
-    rep = SUITES[eid](cfg)
+    return cfg
+
+
+def _outputs(rep):
     return report_to_csv(rep), report_to_json(rep)
 
 
@@ -261,9 +381,21 @@ class TestPairTrials:
     @pytest.mark.parametrize("trials", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     @pytest.mark.parametrize("eid", PAIR_SUITES)
     def test_blocks_equal_trials_factored_alone(self, monkeypatch, eid, trials):
-        blocked = _suite_outputs(eid, trials)
-        monkeypatch.setattr(perturbation, "_pair_trials", _per_trial)
-        assert blocked == _suite_outputs(eid, trials)
+        # the reference draws, factors, computes and scores every trial alone: the
+        # stacked suites by their per-trial loops, the others with a block per trial
+        cfg = _config(eid, trials)
+        blocked = _outputs(SUITES[eid](cfg))
+        if eid in PER_TRIAL:
+            assert blocked == _outputs(PER_TRIAL[eid](cfg))
+        else:
+            monkeypatch.setattr(perturbation, "_pair_trials", _block_per_trial)
+            assert blocked == _outputs(SUITES[eid](cfg))
+
+    @pytest.mark.parametrize("eid", list(PER_TRIAL))
+    def test_split_groups_equal_trials_alone(self, eid):
+        # dims 64 and 33 split a block's trials into groups of 8 and 30
+        cfg = _config(eid, BLOCK + 3, dims=(64, 7, 33))
+        assert _outputs(SUITES[eid](cfg)) == _outputs(PER_TRIAL[eid](cfg))
 
     @pytest.mark.parametrize("trials", [0, 1, BLOCK + 1])
     def test_fuglede_equals_the_per_p_loop(self, trials):
@@ -290,25 +422,53 @@ class TestPairTrials:
         def draw(trial, dim, rng):
             return perturbation._coupled_draw(dim, 0.5, rng), trial
 
-        got = [(t, dim, extra) for t, dim, _, _, extra in
-               perturbation._pair_trials(2, 2 * BLOCK + 3, [1, 4, 2], draw, (9,))]
-        assert got == [(t, [1, 4, 2][t % 3], t) for t in range(2 * BLOCK + 3)]
+        dims = [1, 4, 64, 2]
+        alone = {t: rest for t, *rest in _per_trial(2, 2 * BLOCK + 3, dims, draw, (9,))}
+        seen, sizes = [], []
+        for groups in perturbation._pair_trials(2, 2 * BLOCK + 3, dims, draw, (9,)):
+            sizes += [(g.dim, len(g.trials)) for g in groups]
+            for g in groups:
+                assert g.trials == sorted(g.trials)
+                assert len(g.trials) <= max(1, perturbation._STACK_ENTRIES // g.dim**2)
+                assert g.d1.unitary.shape == (len(g.trials), g.dim, g.dim)
+            rows = perturbation._in_trial_order(groups)
+            assert [t for t, *_ in rows] == list(range(len(seen), len(seen) + len(rows)))
+            for trial, dim, d1, d2, extra in rows:
+                want_dim, want1, want2, want_extra = alone[trial]
+                assert (dim, extra) == (want_dim, want_extra) == (dims[trial % 4], trial)
+                for got, want in ((d1, want1), (d2, want2)):
+                    assert np.array_equal(got.unitary, want.unitary)
+                    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            seen += rows
+        assert len(seen) == 2 * BLOCK + 3
+        # the 16 trials of a full block at dim 64 make two groups of 8
+        assert sizes[:5] == [(1, 16), (4, 16), (64, 8), (64, 8), (2, 16)]
 
     def test_peak_memory_does_not_grow_with_blocks(self):
-        def peak(trials):
+        def peak(run, trials):
             tracemalloc.start()
             try:
-                for _ in perturbation._pair_trials(0, trials, [32], perturbation._draw_with_factor):
-                    pass
+                run(trials)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        # the last trial a caller holds keeps its block's stack of unitaries alive
-        # while the next block is drawn, so the peak is reached by the second block
-        two = peak(2 * BLOCK)
-        assert two > BLOCK * 3 * 32 * 32 * 16  # the block's matrices are traced
-        assert peak(6 * BLOCK) <= 1.05 * two
+        def drive(trials):
+            for _ in perturbation._pair_trials(0, trials, [32], perturbation._draw_with_factor):
+                pass
+
+        f = random_trig_polynomial(2.0, 12, seed=0)
+
+        def stacked(trials):
+            experiment_quasicommutator(f, [64], trials, seed=0)
+
+        # the previous block's groups stay alive while the next block is drawn, so
+        # the peak is reached by the second block; the block's matrices are traced
+        for run, dim, blocks in ((drive, 32, 6), (stacked, 64, 4)):
+            two = peak(run, 2 * BLOCK)
+            assert two > BLOCK * 3 * dim * dim * 16
+            assert peak(run, blocks * BLOCK) <= 1.05 * two
+        assert two < 64 * 2**20  # the bound stated at ``_TRIAL_BLOCK``
 
 
 class TestExperimentReport:
@@ -336,6 +496,25 @@ class TestExperiments:
         qi = rep.columns.index("quotient_op")
         ci = rep.columns.index("certified")
         assert all(r[qi] <= r[ci] for r in rep.rows)
+
+    @pytest.mark.parametrize("trials", [0, 2 * BLOCK + 5])
+    def test_worst_trials_are_read_from_the_rows(self, trials):
+        # the first trial to reach the largest ratio, recomputed from the CSV columns
+        def worst(rows, ratio):
+            if not rows:
+                return None
+            best = max(ratio(r) for r in rows)
+            return int(next(r[0] for r in rows if ratio(r) == best)), best
+
+        f = random_trig_polynomial(2.0, 10, seed=8)
+        lip = experiment_lipschitz(f, [2, 4, 7], trials, seed=9)
+        got = lip.meta["worst_margin"]
+        want = worst(lip.rows, lambda r: max(r[3], r[4]) / r[5])
+        assert (None if got is None else (got["trial"], got["measured_over_certified"])) == want
+        doi = experiment_doi_identity(4.0, [2, 5], trials, seed=3)
+        got = doi.meta["worst_residual"]
+        want = worst(doi.rows, lambda r: r[2] / r[3])
+        assert (None if got is None else (got["trial"], got["residual_over_scale"])) == want
 
     def test_holder_sweep_domination_and_schema(self):
         f = random_trig_polynomial(2.0, 10, seed=10, decay=1.0)

@@ -8,7 +8,6 @@ from opcalc.errors import IllSeparatedSpectrumError, NotNormalError
 from opcalc.spectral import (
     SpectralDecomposition,
     _gaussian,
-    _haar_unitaries,
     _phase_fixed_q,
     diagonalize,
     functional_calculus,
@@ -210,15 +209,67 @@ class TestStackedLapack:
             assert np.array_equal(u, q * (d / np.abs(d)))
             assert np.array_equal(s, np.linalg.svd(g, compute_uv=False))
 
-    def test_haar_unitaries_keep_order_across_sizes(self):
-        rng = np.random.default_rng(3)
-        gaussians = [_gaussian(n, rng) for n in (3, 5, 3, 1, 5, 5)]
-        for g, u in zip(gaussians, _haar_unitaries(gaussians)):
-            assert np.array_equal(u, _phase_fixed_q(g))
-
     def test_random_normal_draws_eigenvalues_then_gaussian(self):
         dec = random_normal(4, seed=8)
         rng = np.random.default_rng(8)
         lam = rng.uniform(-1.0, 1.0, 4) + 1j * rng.uniform(-1.0, 1.0, 4)
         assert np.array_equal(dec.eigenvalues, lam)
         assert np.array_equal(dec.unitary, _phase_fixed_q(_gaussian(4, rng)))
+
+
+# (dim, stack size): dims 1 to 8, and a dim-64 stack whose spectra (4096 points)
+# pass the one-shot limit and a block of points, and whose stacks are large
+# enough for numpy to reuse temporaries in place
+STACKS = [(n, 9) for n in range(1, 9)] + [(64, 64)]
+
+
+def _decomposition_stack(n, k, seed):
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(-2.0, 2.0, (k, n)) + 1j * rng.uniform(-2.0, 2.0, (k, n))
+    gaussians = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    return SpectralDecomposition(_phase_fixed_q(gaussians), lam)
+
+
+def _alone(dec, i):
+    """The i-th decomposition of a stack, from copies, as its own call would get it."""
+    return SpectralDecomposition(dec.unitary[i].copy(), dec.eigenvalues[i].copy())
+
+
+class TestStacks:
+    """Each routine that takes a stack gives every member the bits of its own call."""
+
+    @pytest.mark.parametrize("n, k", STACKS)
+    def test_matrix_parts_and_functional_calculus(self, n, k):
+        dec = _decomposition_stack(n, k, n)
+        # 12 terms: one-shot per spectrum; 40 terms at dim 64: factored per spectrum
+        fs = [random_trig_polynomial(4.0, 12, seed=n), random_trig_polynomial(4.0, 40, seed=n)]
+        a, b = parts(dec)
+        values = [functional_calculus(f, dec) for f in fs]
+        for i in range(k):
+            one = _alone(dec, i)
+            assert np.array_equal(dec.matrix[i], one.matrix)
+            assert np.array_equal(dec[i].matrix, one.matrix)
+            assert np.array_equal(dec[i].unitary, one.unitary)
+            a1, b1 = parts(one)
+            assert np.array_equal(a[i], a1) and np.array_equal(b[i], b1)
+            for f, got in zip(fs, values):
+                assert np.array_equal(got[i], functional_calculus(f, one))
+
+    def test_f_called_once_on_the_stack(self):
+        dec = _decomposition_stack(3, 5, 0)
+        shapes = []
+
+        def counted(z):
+            shapes.append(np.shape(z))
+            return np.sin(z.real)
+
+        functional_calculus(counted, dec)
+        assert shapes == [(5, 3)]
+
+    def test_verify_checks_every_member(self):
+        dec = _decomposition_stack(4, 3, 1)
+        dec.verify()
+        bad_u = dec.unitary.copy()
+        bad_u[2, 0, 0] += 1e-3
+        with pytest.raises(IllSeparatedSpectrumError):
+            SpectralDecomposition(bad_u, dec.eigenvalues).verify()
