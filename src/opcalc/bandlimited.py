@@ -807,6 +807,18 @@ def jackson_check(
     return rows
 
 
+# Frequencies of ``random_trig_polynomial`` in units of sigma / 4: the points
+# of Z^2 in the closed disc of radius 4, and their distances from the origin.
+_LATTICE_RADIUS = 4
+_LATTICE = [
+    (j, k)
+    for j in range(-_LATTICE_RADIUS, _LATTICE_RADIUS + 1)
+    for k in range(-_LATTICE_RADIUS, _LATTICE_RADIUS + 1)
+    if math.hypot(j, k) <= _LATTICE_RADIUS
+]
+_LATTICE_MODULI = [math.hypot(j, k) for (j, k) in _LATTICE]
+
+
 def random_trig_polynomial(
     sigma: float,
     n_terms: int,
@@ -824,19 +836,11 @@ def random_trig_polynomial(
         raise ValueError("sigma must be positive")
     if rng is None:
         rng = np.random.default_rng(seed)
-    radius = 4
-    h = sigma / radius
-    lattice = [
-        (j, k)
-        for j in range(-radius, radius + 1)
-        for k in range(-radius, radius + 1)
-        if math.hypot(j, k) <= radius
-    ]
-    n_terms = min(n_terms, len(lattice))
-    idx = rng.choice(len(lattice), size=n_terms, replace=False)
+    h = sigma / _LATTICE_RADIUS
+    n_terms = min(n_terms, len(_LATTICE))
+    idx = rng.choice(len(_LATTICE), size=n_terms, replace=False)
     coeffs = {}
     for i in idx:
-        j, k = lattice[i]
         amp = complex(rng.standard_normal(), rng.standard_normal())
-        coeffs[(j, k)] = amp * (1.0 + math.hypot(j, k)) ** (-decay)
+        coeffs[_LATTICE[i]] = amp * (1.0 + _LATTICE_MODULI[i]) ** (-decay)
     return TrigPolynomial(h, coeffs)

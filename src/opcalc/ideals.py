@@ -145,13 +145,26 @@ def default_test_family() -> np.ndarray:
     )
 
 
-def _dilation_ratio(spec: IdealSpec, d: int, family: np.ndarray) -> float:
-    """Supremum of Psi(dilate(s, d)) / Psi(s) over the rows s of the family."""
-    best = 0.0
+def _dilation_ratios(spec: IdealSpec, ds: list[int], family: np.ndarray) -> list[float]:
+    """Supremum of Psi(dilate(s, d)) / Psi(s) over the rows s of the family, for each d in ds.
+
+    Each row is visited once and its Psi taken once.  For S_p with finite p
+    the row's powers are taken once, on a contiguous copy as in
+    ``IdealSpec.psi``, and repeated for every d: np.repeat(s, d) ** p and
+    np.repeat(s ** p, d) hold the same values, so the sums are Psi's own.
+    """
+    best = [0.0] * len(ds)
+    powered = spec.variant == "Sp" and not math.isinf(spec.p)
     for s in family:
         denom = spec.psi(s)
-        if denom > 0.0:
-            best = max(best, spec.psi(np.repeat(s, d)) / denom)
+        if denom <= 0.0:
+            continue
+        if powered:
+            pw = np.ascontiguousarray(s) ** spec.p
+            nums = [_root(np.sum(np.repeat(pw, d)), spec.p) for d in ds]
+        else:
+            nums = [spec.psi(np.repeat(s, d)) for d in ds]
+        best = [max(b, num / denom) for b, num in zip(best, nums)]
     return best
 
 
@@ -171,7 +184,7 @@ def beta_d_estimate(
         raise ValueError("d must be >= 1")
     family = default_test_family() if families is None else _checked(families)
     boyd = _analytic_boyd(spec)
-    return _dilation_ratio(spec, d, family), None if boyd is None else d**boyd
+    return _dilation_ratios(spec, [d], family)[0], None if boyd is None else d**boyd
 
 
 def _analytic_boyd(spec: IdealSpec) -> float | None:
@@ -192,11 +205,11 @@ def boyd_index_estimate(
     if d_max < 2:
         raise ValueError("d_max must be >= 2")
     family = default_test_family() if families is None else _checked(families)
-    best = math.inf
-    d = 2
-    while d <= d_max:
-        best = min(best, math.log(_dilation_ratio(spec, d, family)) / math.log(d))
-        d *= 2
+    ds = [2]
+    while 2 * ds[-1] <= d_max:
+        ds.append(2 * ds[-1])
+    ratios = _dilation_ratios(spec, ds, family)
+    best = min(math.log(r) / math.log(d) for d, r in zip(ds, ratios))
     return best, _analytic_boyd(spec)
 
 
@@ -215,19 +228,29 @@ def averaging_bound(spec: IdealSpec) -> float | None:
 
 
 def _random_spectra(trials: int, seed: int, length: int = 64):
-    """Blocks of up to _BLOCK nonincreasing rows, drawn row by row from one stream."""
+    """Blocks of up to _BLOCK nonincreasing rows from one stream.
+
+    Each row's shape and scalars are drawn row by row, in stream order; the
+    rows of each shape are then formed for the whole block at once.
+    """
     rng = np.random.default_rng(seed)
     j = np.arange(length, dtype=float)
     for start in range(0, trials, _BLOCK):
         block = np.empty((min(_BLOCK, trials - start), length))
-        for row in block:
+        geo, geo_abc, power, power_g = [], [], [], []
+        for i in range(len(block)):
             shape = rng.integers(0, 3)
             if shape == 0:
-                row[:] = rng.uniform(0.0, 1.0, length)
+                block[i] = rng.uniform(0.0, 1.0, length)
             elif shape == 1:
-                row[:] = rng.uniform(0.5, 1.5) ** (-j * rng.uniform(0.0, 1.0)) * rng.uniform(0.1, 10.0)
+                geo.append(i)
+                geo_abc.append((rng.uniform(0.5, 1.5), rng.uniform(0.0, 1.0), rng.uniform(0.1, 10.0)))
             else:
-                row[:] = (1.0 + j) ** (-rng.uniform(0.1, 3.0))
+                power.append(i)
+                power_g.append(rng.uniform(0.1, 3.0))
+        a, b, c = np.reshape(geo_abc, (-1, 3)).T[..., None]
+        block[geo] = a ** (-j * b) * c
+        block[power] = (1.0 + j) ** -np.reshape(power_g, (-1, 1))
         yield np.sort(block, axis=-1)[:, ::-1]
 
 

@@ -252,6 +252,53 @@ VARIANTS = [
 ]
 
 
+SP_EXPONENTS = [0.02, 0.7, 1.0, 4.0 / 3.0, 2.0, 4.0, 15.0, math.inf]
+ORACLE_SPECS = VARIANTS + [IdealSpec.schatten(p) for p in SP_EXPONENTS]
+
+
+def _oracle_families():
+    rng = np.random.default_rng(9)
+    rows = np.sort(rng.uniform(0.0, 2.0, (9, 37)), axis=-1)[:, ::-1]
+    rows[4] = 0.0  # a zero row has no ratio and is passed over
+    return {"default": default_test_family(), "fortran": np.asfortranarray(rows)}
+
+
+def _reference_dilation_ratio(spec, d, family):
+    """Supremum of Psi(dilate(s, d)) / Psi(s), one row and one d at a time."""
+    best = 0.0
+    for s in family:
+        denom = spec.psi(s)
+        if denom > 0.0:
+            best = max(best, spec.psi(np.repeat(s, d)) / denom)
+    return best
+
+
+def _reference_boyd(spec, d_max, family):
+    best = math.inf
+    d = 2
+    while d <= d_max:
+        best = min(best, math.log(_reference_dilation_ratio(spec, d, family)) / math.log(d))
+        d *= 2
+    return best
+
+
+def _reference_spectra(trials, seed, length=64):
+    """The averaging stream drawn and formed one row at a time, in blocks of 1024."""
+    rng = np.random.default_rng(seed)
+    j = np.arange(length, dtype=float)
+    for start in range(0, trials, 1024):
+        block = np.empty((min(1024, trials - start), length))
+        for row in block:
+            shape = rng.integers(0, 3)
+            if shape == 0:
+                row[:] = rng.uniform(0.0, 1.0, length)
+            elif shape == 1:
+                row[:] = rng.uniform(0.5, 1.5) ** (-j * rng.uniform(0.0, 1.0)) * rng.uniform(0.1, 10.0)
+            else:
+                row[:] = (1.0 + j) ** (-rng.uniform(0.1, 3.0))
+        yield np.sort(block, axis=-1)[:, ::-1]
+
+
 def _reference_averaging(spec, trials, seed, length=64):
     """The averaging stream drawn and scored one spectrum at a time."""
     rng = np.random.default_rng(seed)
@@ -301,6 +348,30 @@ class TestStacks:
         rows = np.concatenate(blocks)
         assert np.all(np.diff(rows, axis=-1) <= 0.0)
         assert np.array_equal(rows[:1500], np.concatenate(list(_random_spectra(1500, 1))))
+
+
+class TestOracles:
+    """The routines against one-at-a-time loops, bit for bit."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: f"{spec.variant}-{spec.p}")
+    def test_dilation_ratios_equal_the_row_and_d_loop(self, spec):
+        # np.repeat(s, d) ** p and np.repeat(s ** p, d) must agree on every row
+        for name, fam in _oracle_families().items():
+            for d in (1, 2, 3, 6, 64):
+                est, _ = beta_d_estimate(spec, d, fam)
+                assert est == _reference_dilation_ratio(spec, d, fam), (name, d)
+            for d_max in (5, 48, 64):
+                est, _ = boyd_index_estimate(spec, d_max, fam)
+                assert est == _reference_boyd(spec, d_max, fam), (name, d_max)
+
+    @pytest.mark.parametrize("trials", [1, 1023, 1024, 1025, 2500])
+    def test_stream_equals_the_row_loop(self, trials):
+        for seed in range(10):
+            got = list(_random_spectra(trials, seed))
+            want = list(_reference_spectra(trials, seed))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), seed
 
 
 class TestMajorization:
