@@ -112,8 +112,9 @@ def dilate_spectrum(s: np.ndarray, d: int) -> np.ndarray:
 
 def _root(x, p: float) -> float | np.ndarray:
     """x^(1/p) elementwise by scalar powers (see ``IdealSpec.psi``); a float for 0-d x."""
-    res = np.array([v ** (1.0 / p) for v in np.ravel(x)]).reshape(np.shape(x))
-    return res if res.ndim else float(res)
+    if getattr(x, "ndim", 0) == 0:  # the same numpy scalar power, without the array round trip
+        return float(np.float64(x) ** (1.0 / p))
+    return np.array([v ** (1.0 / p) for v in np.ravel(x)]).reshape(np.shape(x))
 
 
 def schatten_sum(s: np.ndarray, p: float) -> float | np.ndarray:

@@ -322,20 +322,25 @@ class _Group:
     extras: tuple
 
 
-def _pair_trials(seed: int, trials: int, dims: list[int], draw, key: tuple = ()):
+def _pair_trials(seed: int, trials: int, dims: list[int], draw, keys=((),)):
     """Yield every block of a suite that draws normal pairs, as a list of ``_Group``s.
 
-    ``draw(trial, dim, rng)`` draws the trial's inputs from its
-    ``trial_draws`` substream and returns (pair, *extra), pair from
-    ``_independent_draw`` or ``_coupled_draw``.  Trials are drawn in blocks
-    of ``_TRIAL_BLOCK`` and grouped by dimension, at most
+    For each key of ``keys`` in turn, ``trials`` trials come from
+    ``trial_draws(seed, trials, dims, key)``: trial t of the i-th key keeps
+    its substream ``(seed, *key, t)`` and its dimension, and is numbered
+    ``i * trials + t`` (so one key numbers its trials as ``trial_draws``
+    does).  ``draw(trial, dim, rng)`` draws the trial's inputs from its
+    substream and returns (pair, *extra), pair from ``_independent_draw`` or
+    ``_coupled_draw``.  Trials are drawn in blocks of ``_TRIAL_BLOCK``,
+    which may span keys, and grouped by dimension, at most
     ``_STACK_ENTRIES // dim^2`` trials (at least one) to a group, and the
     unitaries of a group are factored with one QR call.  QR draws nothing
     and a stacked QR equals the per-matrix one bit for bit, so each trial
     gets the inputs it would get drawn and factored alone.  A suite computes
     on each group's stacks and scores the block ``_in_trial_order``.
     """
-    draws = trial_draws(seed, trials, dims, key)
+    draws = ((i * trials + t, dim, rng) for i, key in enumerate(keys)
+             for t, dim, rng in trial_draws(seed, trials, dims, key))
     while block := list(itertools.islice(draws, _TRIAL_BLOCK)):
         yield _grouped(block, draw)
 
@@ -483,12 +488,16 @@ def experiment_holder_sweep(
     different deltas therefore come from different matrices and need not
     follow a log-log slope <= 1 from one grid point to the next.  What is
     promised is measured_max_norm <= certified_bound at every delta.
-    The band uppers of f are certified once and serve every delta.  A
+    Every (delta, trial) pair is drawn, computed and scored in one pass of
+    ``_pair_trials`` over the grid indices, in (delta, trial) order.  The
+    band uppers of f are certified once and serve every delta.  A
     trial's norm above certified (1 + 1e-9) is a violation only if norm - E >
     certified max(1, D / delta) (1 + 1e-9), E its ``_slack``, computed only
-    after that plain test fails: the exact pair lies D = max |lambda2 - lambda1|
-    <= (1 + 4u) (computed D) apart, where each split a delta + b of the bound
-    (a, b >= 0) grows at most D / delta-fold.
+    after that plain test fails and until the delta is found violated: the
+    exact pair lies D = max |lambda2 - lambda1| <= (1 + 4u) (computed D)
+    apart, where each split a delta + b of the bound (a, b >= 0) grows at
+    most D / delta-fold.  ``meta["worst_margin"]`` records the (delta, trial)
+    pair with the largest norm / certified, the first on a tie, and that ratio.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -501,31 +510,46 @@ def experiment_holder_sweep(
         seed,
         ["delta", "measured_max_norm", "delta_alpha", "omega_star",
          "certified_bound", "log_envelope"],
-        meta={"alpha": alpha, "violations": 0,
+        meta={"alpha": alpha, "violations": 0, "worst_margin": None,
               "plot": {"x": "delta", "y": "measured_max_norm", "slope": alpha}},
     )
     uppers = band_uppers(f)
-    for grid_idx, delta in enumerate(delta_grid):
-        certified = _modulus_bound_from_uppers(uppers, delta)
-        measured = 0.0
-        violated = False
-        def draw(trial, dim, rng):
-            return (_coupled_draw(dim, delta, rng),)
+    certified = [_modulus_bound_from_uppers(uppers, delta) for delta in delta_grid]
+    measured = [0.0] * len(delta_grid)
+    violated = [False] * len(delta_grid)
 
-        rows = (row for groups in _pair_trials(seed, trials, dims, draw, (grid_idx,))
-                for row in _in_trial_order(groups))
-        for _, dim, d1, d2 in rows:
-            diff = functional_calculus(f, d1) - functional_calculus(f, d2)
-            norm = float(np.linalg.norm(diff, 2))
-            measured = max(measured, norm)
-            if norm > certified * (1.0 + 1e-9) and not violated:
+    def draw(trial, dim, rng):
+        return (_coupled_draw(dim, delta_grid[trial // trials], rng),)
+
+    def compute(g):
+        diff = functional_calculus(f, g.d1) - functional_calculus(f, g.d2)
+        # norm(., 2) is the largest singular value of the same SVD
+        return diff, singular_values(diff)[:, 0]
+
+    keys = [(grid_idx,) for grid_idx in range(len(delta_grid))]
+    for groups in _pair_trials(seed, trials, dims, draw, keys):
+        scored, margins = [], []
+        for trial, _, d1, d2, diff, norm in _in_trial_order(groups, compute):
+            i, norm = trial // trials, float(norm)
+            measured[i] = max(measured[i], norm)
+            if norm > certified[i] * (1.0 + 1e-9) and not violated[i]:
+                delta = delta_grid[i]
                 shift = float(np.abs(d2.eigenvalues - d1.eigenvalues).max()) / delta
                 stretch = max(1.0, shift * (1.0 + 4.0 * _UNIT_ROUNDOFF))
-                violated = norm - _slack(diff, f, d1, d2) > certified * stretch * (1.0 + 1e-9)
-        rep.meta["violations"] += int(violated)
+                violated[i] = norm - _slack(diff, f, d1, d2) > certified[i] * stretch * (1.0 + 1e-9)
+            scored.append(trial)
+            margins.append(_ratio(norm, certified[i]))
+        _note_worst(rep.meta, "worst_margin", "measured_over_certified", scored, margins)
+    worst = rep.meta["worst_margin"]
+    if worst is not None:  # the pair's number i * trials + t as (delta, t)
+        i, t = divmod(worst["trial"], trials)
+        rep.meta["worst_margin"] = {"delta": float(delta_grid[i]), "trial": t,
+                                    "measured_over_certified": worst["measured_over_certified"]}
+    rep.meta["violations"] = sum(violated)
+    for delta, top, bound in zip(delta_grid, measured, certified):
         rep.add(
-            delta, measured, delta**alpha, omega_star(om_pow, delta),
-            certified, omega_star(om_cap, min(delta, diam)),
+            delta, top, delta**alpha, omega_star(om_pow, delta),
+            bound, omega_star(om_cap, min(delta, diam)),
         )
     return rep
 
@@ -565,13 +589,15 @@ def experiment_schatten_decay(
             return (_coupled_draw(dim, float(2.0 ** -(trial % 7)), rng),)
         return (_independent_draw(dim, rng),)
 
+    def compute(g):
+        dn = g.d1.matrix - g.d2.matrix
+        diff = functional_calculus(f, g.d1) - functional_calculus(f, g.d2)
+        spectra = singular_values(np.concatenate([dn, diff]))  # both spectra from one SVD
+        return spectra[len(dn):], spectra[: len(dn)]
+
     rows = (row for groups in _pair_trials(seed, trials, dims, draw)
-            for row in _in_trial_order(groups))
-    for trial, dim, d1, d2 in rows:
-        dn = d1.matrix - d2.matrix
-        diff = functional_calculus(f, d1) - functional_calculus(f, d2)
-        s_diff = singular_values(diff)
-        s_dn = singular_values(dn)
+            for row in _in_trial_order(groups, compute))
+    for trial, dim, _, _, s_diff, s_dn in rows:
         sig = sigma_averages(s_dn)
         heads = np.cumsum(s_dn**p)
         with np.errstate(over="ignore"):  # above the double range for small alpha: inf is right

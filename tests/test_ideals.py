@@ -6,6 +6,7 @@ import pytest
 from opcalc.ideals import (
     IdealSpec,
     _random_spectra,
+    _root,
     averaging_bound,
     averaging_constant_check,
     beta_d_estimate,
@@ -409,6 +410,30 @@ class TestSchattenSum:
         stack = np.sort(np.random.default_rng(2).uniform(0.0, 3.0, (7, 9)), axis=-1)[:, ::-1]
         assert np.array_equal(spec.psi(stack), stack[..., 0])
         assert np.array_equal(schatten_sum(stack, math.inf), stack[..., 0])
+
+
+class TestRoot:
+    @staticmethod
+    def _comprehension(x, p):
+        """Every x^(1/p) by its own numpy scalar power, as the stacked path takes them."""
+        res = np.array([v ** (1.0 / p) for v in np.ravel(x)]).reshape(np.shape(x))
+        return res if res.ndim else float(res)
+
+    @pytest.mark.parametrize("p", [0.02, 0.7, 1.0, 4.0 / 3.0, 2.0, 4.0, 15.0])
+    def test_scalar_and_stacked_roots_keep_the_bits(self, p):
+        rng = np.random.default_rng(3)
+        # sums as the ideals form them, with 0, tiny and huge values (inf at p 0.02)
+        stack = np.concatenate([np.sum(rng.uniform(0.0, 2.0, (40, 9)) ** p, axis=-1),
+                                [0.0, 5e-324, 1e-300, 1.0, 3e10, 1.7e308]]).reshape(2, 23)
+        with np.errstate(over="ignore"):
+            want = self._comprehension(stack, p)
+            assert np.array_equal(_root(stack, p), want)
+            for x in stack.ravel():
+                for scalar in (x, float(x), np.array(x)):
+                    got = _root(scalar, p)
+                    assert type(got) is float
+                    assert np.array_equal(got, self._comprehension(scalar, p))
+        assert math.isinf(want[-1, -1]) == (p < 1.0)
 
 
 class TestKyFanHolder:

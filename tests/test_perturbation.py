@@ -228,13 +228,6 @@ def _per_trial(seed, trials, dims, draw, key=()):
         yield (trial, dim, *_factored(pair), *extra)
 
 
-def _block_per_trial(seed, trials, dims, draw, key=()):
-    """``_pair_trials`` with every trial drawn and factored alone, a block of its own."""
-    for trial, dim, d1, d2, *extra in _per_trial(seed, trials, dims, draw, key):
-        one = [SpectralDecomposition(d.unitary[None], d.eigenvalues[None]) for d in (d1, d2)]
-        yield [perturbation._Group([trial], dim, *one, tuple([e] for e in extra))]
-
-
 def _note(meta, key, name, trial, ratio):
     if meta[key] is None or ratio > meta[key][name]:
         meta[key] = {"trial": trial, name: ratio}
@@ -353,8 +346,102 @@ def _fuglede_per_p(dims, p_list, trials, seed):
     return rep
 
 
+def _holder_per_trial(cfg):
+    """The holder-sweep suite delta by delta, each trial's matrices formed and scored alone."""
+    f = perturbation._suite_f(cfg, decay=1.0)
+    alpha, delta_grid, trials, seed = cfg.alpha, cfg.delta_grid, cfg.trials, cfg.seed
+    om_pow = bandlimited.ModulusOfContinuity.power(alpha)
+    diam = math.hypot(2.0, 2.0)
+    om_cap = bandlimited.ModulusOfContinuity.capped_linear(diam)
+    rep = ExperimentReport("holder-sweep", seed,
+                           ["delta", "measured_max_norm", "delta_alpha", "omega_star",
+                            "certified_bound", "log_envelope"],
+                           meta={"alpha": alpha, "violations": 0, "worst_margin": None,
+                                 "plot": {"x": "delta", "y": "measured_max_norm",
+                                          "slope": alpha}})
+    uppers = band_uppers(f)
+    for grid_idx, delta in enumerate(delta_grid):
+        certified = perturbation._modulus_bound_from_uppers(uppers, delta)
+        measured = 0.0
+        violated = False
+        def draw(trial, dim, rng):
+            return (perturbation._coupled_draw(dim, delta, rng),)
+
+        for trial, dim, d1, d2 in _per_trial(seed, trials, cfg.dims, draw, (grid_idx,)):
+            diff = functional_calculus(f, d1) - functional_calculus(f, d2)
+            norm = float(np.linalg.norm(diff, 2))
+            measured = max(measured, norm)
+            if norm > certified * (1.0 + 1e-9) and not violated:
+                shift = float(np.abs(d2.eigenvalues - d1.eigenvalues).max()) / delta
+                stretch = max(1.0, shift * (1.0 + 4.0 * bandlimited._UNIT_ROUNDOFF))
+                slack = perturbation._slack(diff, f, d1, d2)
+                violated = norm - slack > certified * stretch * (1.0 + 1e-9)
+            ratio = perturbation._ratio(norm, certified)
+            worst = rep.meta["worst_margin"]
+            if worst is None or ratio > worst["measured_over_certified"]:
+                rep.meta["worst_margin"] = {"delta": delta, "trial": trial,
+                                            "measured_over_certified": ratio}
+        rep.meta["violations"] += int(violated)
+        rep.add(
+            delta, measured, delta**alpha, bandlimited.omega_star(om_pow, delta),
+            certified, bandlimited.omega_star(om_cap, min(delta, diam)),
+        )
+    return rep
+
+
+def _schatten_per_trial(cfg):
+    """The schatten-decay suite scored trial by trial, each trial's spectra taken alone."""
+    f = perturbation._suite_f(cfg, decay=1.0)
+    alpha, p, seed = cfg.alpha, cfg.p[0], cfg.seed
+    sem = bandlimited.seminorm_estimate(f, bandlimited.ModulusOfContinuity.power(alpha), 20000,
+                                        seed)
+    rep = ExperimentReport("schatten-decay", seed,
+                           ["trial", "dim", "j", "s_j", "envelope", "sigma_j", "s_j_invalpha"],
+                           meta={"alpha": alpha, "p": p, "seminorm_lower": sem, "violations": 0})
+    c_decay = 0.0
+    c_major = 0.0
+    c_head = 0.0
+    def draw(trial, dim, rng):
+        kind = trial % 3
+        if kind == 0:
+            return (perturbation._coupled_draw(dim, float(2.0 ** -(trial % 7)), rng, rank=1),)
+        if kind == 1:
+            return (perturbation._coupled_draw(dim, float(2.0 ** -(trial % 7)), rng),)
+        return (perturbation._independent_draw(dim, rng),)
+
+    for trial, dim, d1, d2 in _per_trial(seed, cfg.trials, cfg.dims, draw):
+        dn = d1.matrix - d2.matrix
+        diff = functional_calculus(f, d1) - functional_calculus(f, d2)
+        s_diff = ideals.singular_values(diff)
+        s_dn = ideals.singular_values(dn)
+        sig = ideals.sigma_averages(s_dn)
+        heads = np.cumsum(s_dn**p)
+        with np.errstate(over="ignore"):  # above the double range for small alpha: inf is right
+            s_pows = [v ** (1.0 / alpha) for v in s_diff]
+        pow_head = 0.0
+        pow_diff = 0.0
+        for j in range(dim):
+            env = (1.0 + j) ** (-alpha / p) * heads[j] ** (alpha / p)
+            rep.add(trial, dim, j, s_diff[j], env, sig[j], s_pows[j])
+            if env > 0.0:
+                c_decay = max(c_decay, s_diff[j] / (sem * env))
+            # normalized by sem before the powers, which small alpha makes huge
+            if sig[j] > 0.0:
+                c_major = max(c_major, (s_diff[j] / sem) ** (1.0 / alpha) / sig[j])
+            pow_head += (s_diff[j] / sem) ** (p / alpha)
+            pow_diff += s_dn[j] ** p
+            if pow_diff > 0.0:
+                c_head = max(c_head, pow_head / pow_diff)
+    rep.meta["c_decay"] = c_decay
+    rep.meta["c_majorization"] = c_major
+    rep.meta["c_head_sum"] = c_head
+    return rep
+
+
 PER_TRIAL = {
     "lip-bound": _lip_per_trial,
+    "holder-sweep": _holder_per_trial,
+    "schatten-decay": _schatten_per_trial,
     "qc-verify": _qc_per_trial,
     "doi-verify": _doi_per_trial,
     "fuglede-ratio": lambda c: _fuglede_per_p(c.dims, c.p, c.trials, c.seed),
@@ -380,20 +467,15 @@ PAIR_SUITES = ["doi-verify", "lip-bound", "holder-sweep", "schatten-decay", "qc-
 class TestPairTrials:
     @pytest.mark.parametrize("trials", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     @pytest.mark.parametrize("eid", PAIR_SUITES)
-    def test_blocks_equal_trials_factored_alone(self, monkeypatch, eid, trials):
-        # the reference draws, factors, computes and scores every trial alone: the
-        # stacked suites by their per-trial loops, the others with a block per trial
+    def test_blocks_equal_trials_factored_alone(self, eid, trials):
+        # the reference draws, factors, computes and scores every trial alone
         cfg = _config(eid, trials)
-        blocked = _outputs(SUITES[eid](cfg))
-        if eid in PER_TRIAL:
-            assert blocked == _outputs(PER_TRIAL[eid](cfg))
-        else:
-            monkeypatch.setattr(perturbation, "_pair_trials", _block_per_trial)
-            assert blocked == _outputs(SUITES[eid](cfg))
+        assert _outputs(SUITES[eid](cfg)) == _outputs(PER_TRIAL[eid](cfg))
 
-    @pytest.mark.parametrize("eid", list(PER_TRIAL))
+    @pytest.mark.parametrize("eid", PAIR_SUITES)
     def test_split_groups_equal_trials_alone(self, eid):
-        # dims 64 and 33 split a block's trials into groups of 8 and 30
+        # dims 64 and 33 split a block's trials into groups of 8 and 30; the
+        # holder sweep's blocks also span its two deltas
         cfg = _config(eid, BLOCK + 3, dims=(64, 7, 33))
         assert _outputs(SUITES[eid](cfg)) == _outputs(PER_TRIAL[eid](cfg))
 
@@ -425,7 +507,7 @@ class TestPairTrials:
         dims = [1, 4, 64, 2]
         alone = {t: rest for t, *rest in _per_trial(2, 2 * BLOCK + 3, dims, draw, (9,))}
         seen, sizes = [], []
-        for groups in perturbation._pair_trials(2, 2 * BLOCK + 3, dims, draw, (9,)):
+        for groups in perturbation._pair_trials(2, 2 * BLOCK + 3, dims, draw, ((9,),)):
             sizes += [(g.dim, len(g.trials)) for g in groups]
             for g in groups:
                 assert g.trials == sorted(g.trials)
@@ -443,6 +525,28 @@ class TestPairTrials:
         assert len(seen) == 2 * BLOCK + 3
         # the 16 trials of a full block at dim 64 make two groups of 8
         assert sizes[:5] == [(1, 16), (4, 16), (64, 8), (64, 8), (2, 16)]
+
+    @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK + 1])
+    def test_several_keys_number_their_trials_in_turn(self, trials):
+        def draw(trial, dim, rng):
+            return perturbation._coupled_draw(dim, 0.5, rng), trial
+
+        keys, dims = ((0,), (1,), (2,)), (64, 7, 33)
+        alone = {i * trials + t: rest for i, key in enumerate(keys)
+                 for t, *rest in _per_trial(4, trials, dims, draw, key)}
+        seen = []
+        for groups in perturbation._pair_trials(4, trials, dims, draw, keys):
+            for trial, dim, d1, d2, extra in perturbation._in_trial_order(groups):
+                want_dim, want1, want2, local = alone[trial]
+                # draw sees the chained number, the key's own trial_draws the local one
+                assert (dim, extra, local) == (want_dim, trial, trial % trials)
+                assert dim == dims[trial % trials % 3]
+                for got, want in ((d1, want1), (d2, want2)):
+                    assert np.array_equal(got.unitary, want.unitary)
+                    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+                seen.append(trial)
+        # every (key, trial) pair once, trial t of key i numbered i * trials + t
+        assert seen == sorted(alone) == list(range(len(keys) * trials))
 
     def test_peak_memory_does_not_grow_with_blocks(self):
         def peak(run, trials):
@@ -515,6 +619,18 @@ class TestExperiments:
         got = doi.meta["worst_residual"]
         want = worst(doi.rows, lambda r: r[2] / r[3])
         assert (None if got is None else (got["trial"], got["residual_over_scale"])) == want
+        # the sweep's rows hold each delta's largest norm, so its closest call is theirs
+        f = random_trig_polynomial(2.0, 10, seed=10, decay=1.0)
+        grid = [0.5, 2.0**-4, 2.0**-8]
+        sweep = experiment_holder_sweep(f, 0.5, [2, 4, 7], grid, trials, seed=11)
+        got = sweep.meta["worst_margin"]
+        if trials == 0:  # the rows read 0 at every delta, but no pair was drawn
+            assert got is None
+        else:
+            best = max(r[1] / r[4] for r in sweep.rows)
+            delta = next(r[0] for r in sweep.rows if r[1] / r[4] == best)
+            assert (got["delta"], got["measured_over_certified"]) == (delta, best)
+            assert 0 <= got["trial"] < trials
 
     def test_holder_sweep_domination_and_schema(self):
         f = random_trig_polynomial(2.0, 10, seed=10, decay=1.0)
