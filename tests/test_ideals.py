@@ -422,7 +422,7 @@ class TestRoot:
     @pytest.mark.parametrize("p", [0.02, 0.7, 1.0, 4.0 / 3.0, 2.0, 4.0, 15.0])
     def test_scalar_and_stacked_roots_keep_the_bits(self, p):
         rng = np.random.default_rng(3)
-        # sums as the ideals form them, with 0, tiny and huge values (inf at p 0.02)
+        # sums as the ideals form them, with 0, tiny and huge values (inf for p < 1)
         stack = np.concatenate([np.sum(rng.uniform(0.0, 2.0, (40, 9)) ** p, axis=-1),
                                 [0.0, 5e-324, 1e-300, 1.0, 3e10, 1.7e308]]).reshape(2, 23)
         with np.errstate(over="ignore"):
